@@ -65,6 +65,7 @@ from .dynamics import (
 from .modes import (
     ModeAmplitudeSet,
     ModeSet,
+    _coulomb_pair_sum,
     coulomb_energy_real,
     coulomb_mode_set,
     free_evolve_modes,
@@ -152,9 +153,12 @@ class ScenarioConfig:
         if raw is None:
             return list(DEFAULT_THETAS)
         try:
-            return [float(v) for v in raw.split()]
+            thetas = [float(v) for v in raw.split()]
         except ValueError as exc:
             raise ConfigError(f"[rotation] thetas must be numbers, got {raw!r}") from exc
+        if not thetas:
+            raise ConfigError("[rotation] thetas is empty")
+        return thetas
 
     def sources(self, sigma_fallback: float | None = None) -> list[PointSource]:
         entries = []
@@ -166,10 +170,10 @@ class ScenarioConfig:
             qe = self.get_float(section, "qe", 0.0)
             qm = self.get_float(section, "qm", 0.0)
             sigma_raw = self._raw(section, "sigma")
-            entries.append((position, velocity, ChargePair(qe, qm), sigma_raw))
+            entries.append((section, position, velocity, qe, qm, sigma_raw))
         sources = []
-        positions = [e[0] for e in entries]
-        for position, velocity, charges, sigma_raw in entries:
+        positions = [e[1] for e in entries]
+        for section, position, velocity, qe, qm, sigma_raw in entries:
             if sigma_raw is None or sigma_raw == "auto":
                 if len(positions) >= 2:
                     sigma = recommended_smearing(np.stack(positions))
@@ -182,7 +186,10 @@ class ScenarioConfig:
                     sigma = float(sigma_raw)
                 except ValueError as exc:
                     raise ConfigError(f"sigma must be a number or 'auto', got {sigma_raw!r}") from exc
-            sources.append(PointSource(position, velocity, charges, sigma))
+            try:
+                sources.append(PointSource(position, velocity, ChargePair(qe, qm), sigma))
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {exc}") from exc
         return sources
 
 
@@ -391,7 +398,11 @@ def run_dual_covariance(cfg: ScenarioConfig, outdir: Path) -> Checks:
         fields = FieldVecPair(fields.E + E_long.data, fields.B + B_long.data)
     state = EMState(0.0, grid, fields, sources)
     dt = cfg.get_float("evolution", "dt", 0.005)
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigError(f"[evolution] dt must be positive and finite, got {dt!r}")
     steps = cfg.get_int("evolution", "steps", 100)
+    if steps < 1:
+        raise ConfigError(f"[evolution] steps must be at least 1, got {steps}")
     limit = cfg.get_float("checks", "max_residual", 1e-10)
     require_shared = cfg.parser.getboolean("checks", "require_shared_ratio", fallback=True)
 
@@ -472,18 +483,10 @@ def run_two_field_cross(cfg: ScenarioConfig, outdir: Path) -> Checks:
         dk_r=cfg.get_float("modes", "dk_r", 0.3),
     )
     ee, mm, em = two_field_energy(sources, ms, units)
-
-    def pair_reference(values: np.ndarray) -> float:
-        total = 0.0
-        for i in range(len(sources)):
-            for j in range(i + 1, len(sources)):
-                r = float(np.linalg.norm(sources[i].position - sources[j].position))
-                total += values[i] * values[j] / (4.0 * math.pi * units.eps0 * r)
-        return total
-
-    ee_ref = pair_reference(np.asarray([s.charges.qe for s in sources]))
-    mm_ref = pair_reference(
-        units.c * units.eps0 * np.asarray([s.charges.qm for s in sources])
+    positions = np.stack([s.position for s in sources])
+    ee_ref = _coulomb_pair_sum(positions, np.asarray([s.charges.qe for s in sources]), units.eps0)
+    mm_ref = _coulomb_pair_sum(
+        positions, units.c * units.eps0 * np.asarray([s.charges.qm for s in sources]), units.eps0
     )
 
     def rel(value: float, ref: float) -> float:
@@ -516,7 +519,9 @@ def run_noether_zero(cfg: ScenarioConfig, outdir: Path) -> Checks:
     grid = cfg.grid(default_n=16)
     kmax = cfg.get_float("modes", "kmax", 3.5 * 2.0 * math.pi / max(grid.L))
     ms = ModeSet.from_grid(grid, kmax)
-    count = cfg.get_int("modes", "count", 10)
+    count = cfg.get_int("sweep", "count", 10)
+    if count < 1:
+        raise ConfigError(f"[sweep] count must be at least 1, got {count}")
     rng = np.random.default_rng(cfg.seed)
 
     worst_charge = 0.0
@@ -560,6 +565,8 @@ def run_helicity_conservation(cfg: ScenarioConfig, outdir: Path) -> Checks:
 
     t_final = cfg.get_float("evolution", "t_final", 4.0)
     samples = cfg.get_int("evolution", "samples", 9)
+    if samples < 2:
+        raise ConfigError(f"[evolution] samples must be at least 2 to measure a drift, got {samples}")
     times = np.linspace(0.0, t_final, samples)
     helicities = []
     spins = []

@@ -232,9 +232,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.t)
 
-    def state_at(self, i: int) -> ParticleState:
-        return ParticleState(self.x[i], self.v[i], self.charges, self.mass)
-
     def to_csv(self, path, plane_normal: np.ndarray | None = None) -> None:
         """Write t,x,y,z,vx,vy,vz,Fx,Fy,Fz,out_of_plane_displacement rows."""
         if plane_normal is None:

@@ -44,6 +44,10 @@ class CFLViolationError(PreconditionError):
     """The requested time step exceeds the advective stability bound."""
 
 
+class SuperluminalSourceError(PreconditionError):
+    """A source moves at or above the vacuum light speed."""
+
+
 class SmearingError(PreconditionError):
     """A source smearing width is unresolvable or too wide for the box."""
 

@@ -4,6 +4,14 @@ All grid fields live on a uniform periodic box sampled at cell corners
 ``x_i = i * h``.  Derivatives are spectral (FFT), so smooth periodic data is
 differentiated to near machine precision.
 
+Spectral convention: every spectrum in the package is the full complex
+``fftn`` of the grid samples, unnormalized forward and ``1/N`` inverse.
+``_to_spectrum`` and ``_to_grid`` are the only transforms; both act on the
+last three axes and take any leading axes, so a vector field of shape
+(3, nx, ny, nz) is transformed in one call.  Wavevectors come from
+``_kgrid``, shape (3, nx, ny, nz), with each axis in ``np.fft.fftfreq``
+order (zero first, negative frequencies in the upper half).
+
 Sources are Gaussian-smeared point carriers.  Deposition synthesizes the
 periodic image sum of the Gaussian directly from its analytic spectrum,
 which makes the integrated charge exact and keeps deposition, spectral
@@ -91,6 +99,35 @@ def _ksquared(grid: Grid3) -> np.ndarray:
     return k[0] ** 2 + k[1] ** 2 + k[2] ** 2
 
 
+def _to_spectrum(x: np.ndarray) -> np.ndarray:
+    """Complex spectrum over the last three axes (leading axes are batched)."""
+    return np.fft.fftn(x, axes=(-3, -2, -1))
+
+
+def _to_grid(hat: np.ndarray) -> np.ndarray:
+    """Real grid samples of a spectrum over the last three axes.
+
+    Each 3-D block is inverted on its own into one preallocated real array,
+    so only one complex block is alive at a time (a whole-batch ``ifftn``
+    raised peak memory).
+    """
+    out = np.empty(hat.shape)
+    for index in np.ndindex(hat.shape[:-3]):
+        out[index] = np.fft.ifftn(hat[index], axes=(-3, -2, -1)).real
+    return out
+
+
+def _curl_hat(k: np.ndarray, hat: np.ndarray) -> np.ndarray:
+    """Spectrum of the curl, i k x hat."""
+    return 1j * np.stack(
+        [
+            k[1] * hat[2] - k[2] * hat[1],
+            k[2] * hat[0] - k[0] * hat[2],
+            k[0] * hat[1] - k[1] * hat[0],
+        ]
+    )
+
+
 @dataclass
 class ScalarField:
     grid: Grid3
@@ -172,35 +209,37 @@ def _validate_source_geometry(source: PointSource, grid: Grid3) -> None:
         )
 
 
+def _gaussian_profile(source: PointSource, grid: Grid3) -> np.ndarray:
+    """Spectrum of one source's unit-charge Gaussian, divided by the cell volume."""
+    kx, ky, kz = grid.kaxes()
+    half = 0.5 * source.sigma**2
+    fx = np.exp(-1j * kx * source.position[0] - half * kx**2)
+    fy = np.exp(-1j * ky * source.position[1] - half * ky**2)
+    fz = np.exp(-1j * kz * source.position[2] - half * kz**2)
+    return (1.0 / grid.cell_volume) * fx[:, None, None] * fy[None, :, None] * fz[None, None, :]
+
+
 def source_spectra(
-    sources: list[PointSource], grid: Grid3, *, validate: bool = True
+    sources: list[PointSource], grid: Grid3
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Analytic spectra (rho_e, rho_m, j_e, j_m) of the smeared sources.
 
     Entries are Fourier-series coefficients divided by the cell volume, i.e.
-    ``np.fft.ifftn`` of a returned array gives the real-space samples.
+    ``_to_grid`` of a returned array gives the real-space samples.  The
+    currents are those of ``current_spectra`` (zero when no source moves).
     """
     shape = grid.shape
     rho_e = np.zeros(shape, dtype=complex)
     rho_m = np.zeros(shape, dtype=complex)
-    j_e = np.zeros((3,) + shape, dtype=complex)
-    j_m = np.zeros((3,) + shape, dtype=complex)
-    kx, ky, kz = grid.kaxes()
-    scale = 1.0 / grid.cell_volume
     for s in sources:
-        if validate:
-            _validate_source_geometry(s, grid)
-        half = 0.5 * s.sigma**2
-        fx = np.exp(-1j * kx * s.position[0] - half * kx**2)
-        fy = np.exp(-1j * ky * s.position[1] - half * ky**2)
-        fz = np.exp(-1j * kz * s.position[2] - half * kz**2)
-        profile = scale * fx[:, None, None] * fy[None, :, None] * fz[None, None, :]
+        _validate_source_geometry(s, grid)
+        profile = _gaussian_profile(s, grid)
         rho_e += s.charges.qe * profile
         rho_m += s.charges.qm * profile
-        for axis in range(3):
-            j_e[axis] += s.charges.qe * s.velocity[axis] * profile
-            j_m[axis] += s.charges.qm * s.velocity[axis] * profile
-    return rho_e, rho_m, j_e, j_m
+    currents = current_spectra(sources, grid)
+    if currents is None:
+        currents = (np.zeros((3,) + shape, dtype=complex), np.zeros((3,) + shape, dtype=complex))
+    return rho_e, rho_m, *currents
 
 
 def check_shared_ratio(sources: list["PointSource"], rtol: float = 1e-12) -> None:
@@ -208,13 +247,15 @@ def check_shared_ratio(sources: list["PointSource"], rtol: float = 1e-12) -> Non
 
     Zero charge pairs are compatible with any ratio.
     """
-    for i in range(len(sources)):
-        for j in range(i + 1, len(sources)):
-            a, b = sources[i].charges, sources[j].charges
-            cross = a.qe * b.qm - b.qe * a.qm
-            scale = abs(a.qe * b.qm) + abs(b.qe * a.qm)
-            if scale > 0.0 and abs(cross) > rtol * scale:
-                raise SharedRatioError(f"sources {i} and {j} have different qm/qe ratios")
+    qe = np.asarray([s.charges.qe for s in sources])
+    qm = np.asarray([s.charges.qm for s in sources])
+    i, j = np.triu_indices(len(sources), 1)
+    cross = qe[i] * qm[j] - qe[j] * qm[i]
+    scale = np.abs(qe[i] * qm[j]) + np.abs(qe[j] * qm[i])
+    bad = np.flatnonzero((scale > 0.0) & (np.abs(cross) > rtol * scale))
+    if bad.size:
+        p = bad[0]
+        raise SharedRatioError(f"sources {i[p]} and {j[p]} have different qm/qe ratios")
 
 
 def current_spectra(
@@ -228,17 +269,10 @@ def current_spectra(
     movers = [s for s in sources if np.any(s.velocity != 0.0)]
     if not movers:
         return None
-    shape = grid.shape
-    j_e = np.zeros((3,) + shape, dtype=complex)
-    j_m = np.zeros((3,) + shape, dtype=complex)
-    kx, ky, kz = grid.kaxes()
-    scale = 1.0 / grid.cell_volume
+    j_e = np.zeros((3,) + grid.shape, dtype=complex)
+    j_m = np.zeros((3,) + grid.shape, dtype=complex)
     for s in movers:
-        half = 0.5 * s.sigma**2
-        fx = np.exp(-1j * kx * s.position[0] - half * kx**2)
-        fy = np.exp(-1j * ky * s.position[1] - half * ky**2)
-        fz = np.exp(-1j * kz * s.position[2] - half * kz**2)
-        profile = scale * fx[:, None, None] * fy[None, :, None] * fz[None, None, :]
+        profile = _gaussian_profile(s, grid)
         for axis in range(3):
             j_e[axis] += s.charges.qe * s.velocity[axis] * profile
             j_m[axis] += s.charges.qm * s.velocity[axis] * profile
@@ -254,11 +288,7 @@ def deposit_sources(
     its analytic spectrum, so the integrated charge equals the source charge
     exactly and the current is charge times velocity per source.
     """
-    rho_e_hat, rho_m_hat, j_e_hat, j_m_hat = source_spectra(sources, grid)
-    rho_e = np.fft.ifftn(rho_e_hat).real
-    rho_m = np.fft.ifftn(rho_m_hat).real
-    j_e = np.stack([np.fft.ifftn(j_e_hat[a]).real for a in range(3)])
-    j_m = np.stack([np.fft.ifftn(j_m_hat[a]).real for a in range(3)])
+    rho_e, rho_m, j_e, j_m = (_to_grid(hat) for hat in source_spectra(sources, grid))
     return (
         ScalarField(grid, rho_e),
         ScalarField(grid, rho_m),
@@ -269,32 +299,18 @@ def deposit_sources(
 
 def spectral_gradient(data: np.ndarray, grid: Grid3) -> np.ndarray:
     """Gradient of a real scalar grid array, shape (3, nx, ny, nz)."""
-    k = _kgrid(grid)
-    hat = np.fft.fftn(data)
-    return np.stack([np.fft.ifftn(1j * k[a] * hat).real for a in range(3)])
+    return _to_grid(1j * _kgrid(grid) * _to_spectrum(data))
 
 
 def spectral_divergence(data: np.ndarray, grid: Grid3) -> np.ndarray:
     """Divergence of a real vector grid array, shape (nx, ny, nz)."""
-    k = _kgrid(grid)
-    out = np.zeros(grid.shape, dtype=complex)
-    for a in range(3):
-        out += 1j * k[a] * np.fft.fftn(data[a])
-    return np.fft.ifftn(out).real
+    terms = 1j * _kgrid(grid) * _to_spectrum(data)
+    return _to_grid(terms[0] + terms[1] + terms[2])
 
 
 def spectral_curl(data: np.ndarray, grid: Grid3) -> np.ndarray:
     """Curl of a real vector grid array, shape (3, nx, ny, nz)."""
-    k = _kgrid(grid)
-    hat = np.stack([np.fft.fftn(data[a]) for a in range(3)])
-    curl_hat = 1j * np.stack(
-        [
-            k[1] * hat[2] - k[2] * hat[1],
-            k[2] * hat[0] - k[0] * hat[2],
-            k[0] * hat[1] - k[1] * hat[0],
-        ]
-    )
-    return np.stack([np.fft.ifftn(curl_hat[a]).real for a in range(3)])
+    return _to_grid(_curl_hat(_kgrid(grid), _to_spectrum(data)))
 
 
 def fields_from_potentials(
@@ -334,16 +350,14 @@ def helmholtz_decompose(field: VectorField) -> tuple[VectorField, VectorField]:
     grid = field.grid
     k = _kgrid(grid)
     k2 = _ksquared(grid)
-    hat = np.stack([np.fft.fftn(field.data[a]) for a in range(3)])
+    hat = _to_spectrum(field.data)
     kdotv = k[0] * hat[0] + k[1] * hat[1] + k[2] * hat[2]
     with np.errstate(invalid="ignore", divide="ignore"):
         proj = np.where(k2 > 0, kdotv / np.where(k2 > 0, k2, 1.0), 0.0)
     long_hat = k * proj[None]
     long_hat[:, 0, 0, 0] = hat[:, 0, 0, 0]
     trans_hat = hat - long_hat
-    transverse = np.stack([np.fft.ifftn(trans_hat[a]).real for a in range(3)])
-    longitudinal = np.stack([np.fft.ifftn(long_hat[a]).real for a in range(3)])
-    return VectorField(grid, transverse), VectorField(grid, longitudinal)
+    return VectorField(grid, _to_grid(trans_hat)), VectorField(grid, _to_grid(long_hat))
 
 
 def transverse_fraction(field: VectorField) -> float:
@@ -374,11 +388,10 @@ def coulomb_field_from_density(density: ScalarField, prefactor: float) -> Vector
     grid = density.grid
     k = _kgrid(grid)
     k2 = _ksquared(grid)
-    rho_hat = np.fft.fftn(density.data)
+    rho_hat = _to_spectrum(density.data)
     with np.errstate(invalid="ignore", divide="ignore"):
         phi = np.where(k2 > 0, rho_hat / np.where(k2 > 0, k2, 1.0), 0.0)
-    out = np.stack([np.fft.ifftn(-1j * prefactor * k[a] * phi).real for a in range(3)])
-    return VectorField(grid, out)
+    return VectorField(grid, _to_grid(-1j * prefactor * k * phi))
 
 
 def point_electric_field(qe: float, offset: np.ndarray, units: UnitSystem) -> np.ndarray:
@@ -461,47 +474,6 @@ def load_field(path) -> ScalarField | VectorField:
         data = np.fromfile(fh, dtype=np.float64, count=ncomp * nx * ny * nz)
     grid = Grid3((nx, ny, nz), L)
     data = np.moveaxis(data.reshape(nx, ny, nz, ncomp), -1, 0)
-    if ncomp == 1:
-        return ScalarField(grid, data[0])
-    if ncomp == 3:
-        return VectorField(grid, data)
-    raise ValueError(f"unsupported component count {ncomp}")
-
-
-def save_field_csv(path, field: ScalarField | VectorField) -> None:
-    """Write a small grid field as CSV with grid metadata in comment lines."""
-    data = field.data[None] if isinstance(field, ScalarField) else field.data
-    ncomp = data.shape[0]
-    grid = field.grid
-    with open(path, "w") as fh:
-        fh.write(f"# n={grid.n[0]},{grid.n[1]},{grid.n[2]}\n")
-        fh.write(f"# L={grid.L[0]!r},{grid.L[1]!r},{grid.L[2]!r}\n")
-        fh.write("i,j,k," + ",".join(f"c{a}" for a in range(ncomp)) + "\n")
-        for i in range(grid.n[0]):
-            for j in range(grid.n[1]):
-                for k in range(grid.n[2]):
-                    values = ",".join(repr(float(data[a, i, j, k])) for a in range(ncomp))
-                    fh.write(f"{i},{j},{k},{values}\n")
-
-
-def load_field_csv(path) -> ScalarField | VectorField:
-    """Read a grid field written by ``save_field_csv``."""
-    with open(path) as fh:
-        n_line = fh.readline().strip()
-        L_line = fh.readline().strip()
-        if not n_line.startswith("# n=") or not L_line.startswith("# L="):
-            raise ValueError("missing grid metadata comments")
-        n = tuple(int(v) for v in n_line[4:].split(","))
-        L = tuple(float(v) for v in L_line[4:].split(","))
-        header = fh.readline().strip().split(",")
-        ncomp = len(header) - 3
-        grid = Grid3(n, L)
-        data = np.zeros((ncomp,) + grid.shape)
-        for line in fh:
-            parts = line.strip().split(",")
-            i, j, k = int(parts[0]), int(parts[1]), int(parts[2])
-            for a in range(ncomp):
-                data[a, i, j, k] = float(parts[3 + a])
     if ncomp == 1:
         return ScalarField(grid, data[0])
     if ncomp == 3:

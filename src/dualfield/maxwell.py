@@ -24,14 +24,18 @@ from .dualcore import (
     DualAngle,
     FieldVecPair,
     UnitSystem,
+    field_quadratic_form,
     inverse_rotate_fields,
     rotate_charges,
 )
-from .errors import CFLViolationError, GridMismatchError
+from .errors import CFLViolationError, GridMismatchError, SuperluminalSourceError
 from .fields import (
     Grid3,
     PointSource,
+    _curl_hat,
     _kgrid,
+    _to_grid,
+    _to_spectrum,
     _validate_source_geometry,
     check_shared_ratio,
     current_spectra,
@@ -82,7 +86,7 @@ def _check_sources(sources: list[PointSource], units: UnitSystem) -> None:
     for s in sources:
         speed = float(np.linalg.norm(s.velocity))
         if speed >= units.c:
-            raise ValueError(f"source velocity {speed} is not below c={units.c}")
+            raise SuperluminalSourceError(f"source velocity {speed} is not below c={units.c}")
 
 
 def step_symmetric_maxwell(state: EMState, dt: float, units: UnitSystem, steps: int = 1) -> EMState:
@@ -106,29 +110,17 @@ def step_symmetric_maxwell(state: EMState, dt: float, units: UnitSystem, steps: 
     inv_eps0 = 1.0 / units.eps0
     moving = any(np.any(s.velocity != 0.0) for s in state.sources)
 
-    def curl(hat: np.ndarray) -> np.ndarray:
-        return 1j * np.stack(
-            [
-                k[1] * hat[2] - k[2] * hat[1],
-                k[2] * hat[0] - k[0] * hat[2],
-                k[0] * hat[1] - k[1] * hat[0],
-            ]
-        )
-
     def rhs(E_hat: np.ndarray, B_hat: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-        dE = c2 * curl(B_hat)
-        dB = -curl(E_hat)
+        dE = c2 * _curl_hat(k, B_hat)
+        dB = -_curl_hat(k, E_hat)
         if moving:
-            moved = [s.at_time(t - state.t) for s in state.sources]
-            currents = current_spectra(moved, grid)
-            if currents is not None:
-                j_e_hat, j_m_hat = currents
-                dE -= inv_eps0 * j_e_hat
-                dB -= j_m_hat
+            j_e_hat, j_m_hat = current_spectra([s.at_time(t - state.t) for s in state.sources], grid)
+            dE -= inv_eps0 * j_e_hat
+            dB -= j_m_hat
         return dE, dB
 
-    E_hat = np.stack([np.fft.fftn(state.fields.E[a]) for a in range(3)])
-    B_hat = np.stack([np.fft.fftn(state.fields.B[a]) for a in range(3)])
+    E_hat = _to_spectrum(state.fields.E)
+    B_hat = _to_spectrum(state.fields.B)
     t = state.t
     for _ in range(steps):
         k1E, k1B = rhs(E_hat, B_hat, t)
@@ -139,8 +131,8 @@ def step_symmetric_maxwell(state: EMState, dt: float, units: UnitSystem, steps: 
         B_hat = B_hat + (dt / 6.0) * (k1B + 2.0 * k2B + 2.0 * k3B + k4B)
         t += dt
 
-    E = np.stack([np.fft.ifftn(E_hat[a]).real for a in range(3)])
-    B = np.stack([np.fft.ifftn(B_hat[a]).real for a in range(3)])
+    E = _to_grid(E_hat)
+    B = _to_grid(B_hat)
     elapsed = t - state.t
     sources = [s.at_time(elapsed, box=grid.L) for s in state.sources]
     return EMState(t, grid, FieldVecPair(E, B), sources)
@@ -173,14 +165,7 @@ def gauss_residuals(state: EMState, units: UnitSystem) -> tuple[float, float]:
 
 def field_energy(state: EMState, units: UnitSystem) -> float:
     """Total field energy: integral of (eps0 E^2 + B^2 / mu0) / 2."""
-    density = units.eps0 * np.sum(state.fields.E**2) + np.sum(state.fields.B**2) / units.mu0
-    return 0.5 * float(density) * state.grid.cell_volume
-
-
-def _energy_norm(fields: FieldVecPair, units: UnitSystem) -> float:
-    return math.sqrt(
-        float(units.eps0 * np.sum(fields.E**2) + np.sum(fields.B**2) / units.mu0)
-    )
+    return 0.5 * field_quadratic_form(state.fields, units) * state.grid.cell_volume
 
 
 def rotate_em_state(state: EMState, theta: DualAngle | float, units: UnitSystem) -> EMState:
@@ -217,6 +202,6 @@ def dual_covariance_residual(
         rotated_first.fields.E - rotated_last.fields.E,
         rotated_first.fields.B - rotated_last.fields.B,
     )
-    num = _energy_norm(diff, units)
-    den = _energy_norm(rotated_last.fields, units)
+    num = math.sqrt(field_quadratic_form(diff, units))
+    den = math.sqrt(field_quadratic_form(rotated_last.fields, units))
     return num / den if den > 0.0 else num

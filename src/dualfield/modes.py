@@ -39,7 +39,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dualcore import PotentialPair, UnitSystem, _angle
+from .dualcore import (
+    PotentialPair,
+    UnitSystem,
+    _angle,
+    asymmetrizing_angle,
+    rotate_charge_components,
+)
 from .errors import (
     AliasingError,
     CoincidentSourcesError,
@@ -50,6 +56,7 @@ from .fields import (
     Grid3,
     PointSource,
     VectorField,
+    _to_grid,
     check_shared_ratio,
     longitudinal_fraction,
     spectral_gradient,
@@ -105,24 +112,13 @@ class ModeSet:
         Rows at the Nyquist frequency are excluded since they cannot carry a
         counter-propagating partner on the grid.
         """
-        kx, ky, kz = grid.kaxes()
-        nx, ny, nz = grid.n
-        keep = []
-        for ix in range(nx):
-            if ix == nx // 2:
-                continue
-            for iy in range(ny):
-                if iy == ny // 2:
-                    continue
-                for iz in range(nz):
-                    if iz == nz // 2:
-                        continue
-                    k = (kx[ix], ky[iy], kz[iz])
-                    k_norm = math.sqrt(k[0] ** 2 + k[1] ** 2 + k[2] ** 2)
-                    if 0.0 < k_norm <= kmax:
-                        keep.append(k)
+        axes = [k[np.arange(n) != n // 2] for k, n in zip(grid.kaxes(), grid.n)]
+        kx, ky, kz = np.meshgrid(*axes, indexing="ij")
+        k_norm = np.sqrt(kx**2 + ky**2 + kz**2)
+        keep = (k_norm > 0.0) & (k_norm <= kmax)
         dk = tuple(2.0 * math.pi / L for L in grid.L)
-        return cls(dk=dk, kmax=float(kmax), kvecs=np.asarray(keep, dtype=float))
+        kvecs = np.stack([kx[keep], ky[keep], kz[keep]], axis=1)
+        return cls(dk=dk, kmax=float(kmax), kvecs=kvecs)
 
     @property
     def is_lattice(self) -> bool:
@@ -188,20 +184,29 @@ class ModeSet:
         return self._transverse_pair[1]
 
 
+def _source_pairs(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index pairs ``i < j`` in row-major order and the distance of each pair.
+
+    Raises ``CoincidentSourcesError`` naming the first pair at zero distance.
+    """
+    positions = np.asarray(positions, dtype=float)
+    i, j = np.triu_indices(positions.shape[0], 1)
+    # one 1-D norm per pair: the axis=1 reduction rounds differently
+    r = np.asarray([float(np.linalg.norm(d)) for d in positions[i] - positions[j]], dtype=float)
+    coincident = np.flatnonzero(r == 0.0)
+    if coincident.size:
+        p = coincident[0]
+        raise CoincidentSourcesError(f"sources {i[p]} and {j[p]} coincide")
+    return i, j, r
+
+
 def recommended_smearing(positions: np.ndarray) -> float:
     """Smearing width resolving the closest pair: one fifth of its distance."""
     positions = np.asarray(positions, dtype=float)
-    n = positions.shape[0]
-    if n < 2:
+    if positions.shape[0] < 2:
         raise ValueError("need at least two positions")
-    r_min = math.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = float(np.linalg.norm(positions[i] - positions[j]))
-            if r == 0.0:
-                raise CoincidentSourcesError(f"positions {i} and {j} coincide")
-            r_min = min(r_min, r)
-    return r_min / 5.0
+    _, _, r = _source_pairs(positions)
+    return float(r.min()) / 5.0
 
 
 def coulomb_mode_set(
@@ -211,24 +216,13 @@ def coulomb_mode_set(
     dk * r_max <= dk_r for the widest source pair."""
     if len(sources) < 2:
         raise ValueError("need at least two sources")
-    positions = np.stack([s.position for s in sources])
-    r_max = 0.0
-    for i in range(len(sources)):
-        for j in range(i + 1, len(sources)):
-            r = float(np.linalg.norm(positions[i] - positions[j]))
-            if r == 0.0:
-                raise CoincidentSourcesError(f"sources {i} and {j} coincide")
-            r_max = max(r_max, r)
+    _, _, r = _source_pairs(np.stack([s.position for s in sources]))
+    r_max = float(r.max())
     sigma_min = min(s.sigma for s in sources)
     return ModeSet.lattice(dk=dk_r / r_max, kmax=kmax_sigma / sigma_min)
 
 
 # --- cell-integrated 1/k^2 quadrature weights ---------------------------------
-
-
-@lru_cache(maxsize=1)
-def _gauss_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(points)
 
 
 def _zero_cell_weight() -> float:
@@ -277,8 +271,6 @@ def _pair_kernel(rvecs: np.ndarray, s2: np.ndarray, dk: float, kmax: float,
                  eps0: float) -> np.ndarray:
     """Open-space Coulomb kernel sum_cells w cos(k.r) exp(-k^2 s2 / 2) per pair,
     normalized so a pair contributes Q_i Q_j * kernel to the energy."""
-    rvecs = np.atleast_2d(rvecs)
-    s2 = np.atleast_1d(s2)
     n_pairs = rvecs.shape[0]
     nmax = int(math.floor(kmax / dk))
     kmax2 = kmax * kmax
@@ -309,32 +301,37 @@ def _pair_kernel(rvecs: np.ndarray, s2: np.ndarray, dk: float, kmax: float,
     return totals / ((2.0 * math.pi) ** 3 * eps0)
 
 
-def _pairwise_energy(
-    positions: np.ndarray, Q: np.ndarray, sigmas: np.ndarray, ms: ModeSet, eps0: float
-) -> float:
-    n = positions.shape[0]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if not pairs:
-        return 0.0
+def _lattice_kernels(
+    sources: list[PointSource], ms: ModeSet, eps0: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Source pairs ``(i, j)`` and their lattice kernels; a pair's energy is
+    ``Q_i Q_j * kernel`` for any charge vector ``Q``."""
     if not ms.is_lattice:
         raise ValueError("charge energy sums need an implicit lattice ModeSet")
     if not (ms.dk[0] == ms.dk[1] == ms.dk[2]):
         raise ValueError("charge energy sums need a cubic lattice")
-    rvecs = np.stack([positions[i] - positions[j] for i, j in pairs])
-    s2 = np.asarray([sigmas[i] ** 2 + sigmas[j] ** 2 for i, j in pairs])
-    for (i, j), r in zip(pairs, rvecs):
-        if float(np.linalg.norm(r)) == 0.0:
-            raise CoincidentSourcesError(f"sources {i} and {j} coincide")
-    kernels = _pair_kernel(rvecs, s2, ms.dk[0], ms.kmax, eps0)
-    weights = np.asarray([Q[i] * Q[j] for i, j in pairs])
-    return float(np.sum(weights * kernels))
+    positions = np.stack([s.position for s in sources])
+    i, j, _ = _source_pairs(positions)
+    sigma2 = np.asarray([s.sigma**2 for s in sources])
+    kernels = _pair_kernel(positions[i] - positions[j], sigma2[i] + sigma2[j],
+                           ms.dk[0], ms.kmax, eps0)
+    return i, j, kernels
+
+
+def _coulomb_pair_sum(positions: np.ndarray, Q: np.ndarray, eps0: float) -> float:
+    """Open-space Coulomb energy sum_{i<j} Q_i Q_j / (4 pi eps0 r_ij)."""
+    i, j, r = _source_pairs(positions)
+    total = 0.0
+    # summed in pair order; np.sum would reassociate the terms
+    for term in Q[i] * Q[j] / (4.0 * math.pi * eps0 * r):
+        total += term
+    return total
 
 
 def _asym_charges(sources: list[PointSource], theta, units: UnitSystem) -> np.ndarray:
-    t = _angle(theta)
-    ct, st = math.cos(t), math.sin(t)
-    ce = units.c * units.eps0
-    return np.asarray([s.charges.qe * ct + ce * s.charges.qm * st for s in sources])
+    qe = np.asarray([s.charges.qe for s in sources])
+    qm = np.asarray([s.charges.qm for s in sources])
+    return rotate_charge_components(qe, qm, theta, units)[0]
 
 
 def coulomb_energy_real(sources: list[PointSource], units: UnitSystem) -> float:
@@ -352,18 +349,8 @@ def coulomb_energy_real(sources: list[PointSource], units: UnitSystem) -> float:
     )
     if reference is None:
         return 0.0
-    theta = math.atan2(
-        units.c * units.eps0 * reference.charges.qm, reference.charges.qe
-    )
-    Q = _asym_charges(sources, theta, units)
-    total = 0.0
-    for i in range(len(sources)):
-        for j in range(i + 1, len(sources)):
-            r = float(np.linalg.norm(sources[i].position - sources[j].position))
-            if r == 0.0:
-                raise CoincidentSourcesError(f"sources {i} and {j} coincide")
-            total += Q[i] * Q[j] / (4.0 * math.pi * units.eps0 * r)
-    return total
+    Q = _asym_charges(sources, asymmetrizing_angle(reference.charges, units), units)
+    return _coulomb_pair_sum(np.stack([s.position for s in sources]), Q, units.eps0)
 
 
 def symmetric_charge_energy(
@@ -379,10 +366,9 @@ def symmetric_charge_energy(
     """
     if len(sources) < 2:
         raise ValueError("need at least two sources")
-    positions = np.stack([s.position for s in sources])
-    sigmas = np.asarray([s.sigma for s in sources])
     Q = _asym_charges(sources, theta, units)
-    return _pairwise_energy(positions, Q, sigmas, ms, units.eps0)
+    i, j, kernels = _lattice_kernels(sources, ms, units.eps0)
+    return float(np.sum(Q[i] * Q[j] * kernels))
 
 
 def two_field_energy(
@@ -397,12 +383,11 @@ def two_field_energy(
     """
     if len(sources) < 2:
         raise ValueError("need at least two sources")
-    positions = np.stack([s.position for s in sources])
-    sigmas = np.asarray([s.sigma for s in sources])
     qe = np.asarray([s.charges.qe for s in sources])
     qm = np.asarray([s.charges.qm for s in sources]) * units.c * units.eps0
-    ee = _pairwise_energy(positions, qe, sigmas, ms, units.eps0)
-    mm = _pairwise_energy(positions, qm, sigmas, ms, units.eps0)
+    i, j, kernels = _lattice_kernels(sources, ms, units.eps0)
+    ee = float(np.sum(qe[i] * qe[j] * kernels))
+    mm = float(np.sum(qm[i] * qm[j] * kernels))
     return ee, mm, 0.0
 
 
@@ -621,9 +606,7 @@ def synthesize_potentials(
             np.add.at(S[mu], neg, n_cells * np.conj(coeff[:, mu]))
             np.add.at(S_dt[mu], pos, n_cells * (-1j * omega) * coeff[:, mu])
             np.add.at(S_dt[mu], neg, n_cells * np.conj((-1j * omega) * coeff[:, mu]))
-        value = np.stack([np.fft.ifftn(S[mu]).real for mu in range(4)])
-        value_dt = np.stack([np.fft.ifftn(S_dt[mu]).real for mu in range(4)])
-        return value, value_dt
+        return _to_grid(S), _to_grid(S_dt)
 
     X, X_dt = spectra(amp.a)
     if amp.b is None:

@@ -161,6 +161,13 @@ def test_seed_flag_overrides_the_config(tmp_path):
     assert read_summary(out)["seed"] == "7"
 
 
+def test_noether_reads_the_sweep_count(tmp_path):
+    cfg = write_cfg(tmp_path, BASE["noether"])
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--out", str(out)]) == 0
+    assert read_summary(out)["config_count"] == "2"
+
+
 def test_override_flag_reaches_the_scenario(tmp_path):
     cfg = write_cfg(tmp_path, BASE["rotation"])
     out = tmp_path / "out"
@@ -226,3 +233,34 @@ def test_failed_check_exits_three(tmp_path):
     code = cli.main(["run", cfg, "--out", str(out), "--override", "checks.max_residual=1e-30"])
     assert code == 3
     assert read_summary(out)["status"] == "fail"
+
+
+@pytest.mark.parametrize(
+    "key,override,code",
+    [
+        ("covariance", "source.1.sigma=-1", 1),
+        ("covariance", "evolution.dt=nan", 1),
+        ("covariance", "source.1.velocity=2 0 0", 2),
+    ],
+)
+def test_invalid_inputs_exit_with_their_code_not_a_traceback(tmp_path, capsys, key, override, code):
+    cfg = write_cfg(tmp_path, BASE[key])
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--out", str(out), "--override", override]) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key,override",
+    [
+        ("covariance", "evolution.steps=-5"),
+        ("covariance", "rotation.thetas="),
+        ("noether", "sweep.count=0"),
+        ("helicity", "evolution.samples=1"),
+    ],
+)
+def test_configs_that_measure_nothing_exit_one(tmp_path, key, override):
+    cfg = write_cfg(tmp_path, BASE[key])
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--out", str(out), "--override", override]) == 1
+    assert not (out / "summary.txt").exists()

@@ -1,11 +1,14 @@
 """Grid fields: spectral operators, deposits, and serialization oracles."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
+import dualfield
 from dualfield.dualcore import ChargePair, PotentialPair, UnitSystem
 from dualfield.errors import (
     GridMismatchError,
@@ -26,12 +29,11 @@ from dualfield.fields import (
     fields_from_potentials,
     helmholtz_decompose,
     load_field,
-    load_field_csv,
     longitudinal_fraction,
     point_electric_field,
     point_magnetic_field,
     save_field,
-    save_field_csv,
+    source_spectra,
     spectral_curl,
     spectral_divergence,
     spectral_gradient,
@@ -294,6 +296,18 @@ def test_current_spectra_none_for_static_sources():
     assert current_spectra([source_at((1, 1, 1))], grid) is None
 
 
+def test_source_spectra_currents_are_current_spectra():
+    grid = cube(32)
+    sources = [
+        source_at((1.0, 2.0, 3.0), qe=0.7, qm=-0.3, v=(0.1, -0.2, 0.05), sigma=0.5),
+        source_at((4.0, 0.5, 5.5), qe=-1.1, qm=0.4, v=(0.0, 0.0, 0.3), sigma=0.6),
+    ]
+    _, _, j_e, j_m = source_spectra(sources, grid)
+    moving_e, moving_m = current_spectra(sources, grid)
+    assert j_e.tobytes() == moving_e.tobytes()
+    assert j_m.tobytes() == moving_m.tobytes()
+
+
 def test_at_time_moves_and_wraps():
     source = source_at((5.0, 1.0, 1.0), v=(2.0, 0.0, 0.0))
     moved = source.at_time(1.0, box=(TWO_PI, TWO_PI, TWO_PI))
@@ -448,21 +462,6 @@ def test_binary_round_trip_is_exact(tmp_path, kind):
     assert loaded.grid.L == pytest.approx(grid.L, rel=0.0)
 
 
-@pytest.mark.parametrize("kind", ["scalar", "vector"])
-def test_csv_round_trip_is_exact(tmp_path, kind):
-    grid = Grid3((4, 4, 6), (1.0, 1.0, 2.0))
-    rng = np.random.default_rng(7)
-    if kind == "scalar":
-        field = ScalarField(grid, rng.normal(size=grid.shape))
-    else:
-        field = VectorField(grid, rng.normal(size=(3,) + grid.shape))
-    path = tmp_path / "field.csv"
-    save_field_csv(path, field)
-    loaded = load_field_csv(path)
-    assert type(loaded) is type(field)
-    np.testing.assert_array_equal(loaded.data, field.data)
-
-
 def test_load_field_rejects_foreign_files(tmp_path):
     path = tmp_path / "not_a_field.bin"
     path.write_bytes(b"PNG\x00\x00\x00\x00\x00 and then some")
@@ -470,8 +469,23 @@ def test_load_field_rejects_foreign_files(tmp_path):
         load_field(path)
 
 
-def test_load_field_csv_requires_metadata(tmp_path):
-    path = tmp_path / "bare.csv"
-    path.write_text("i,j,k,c0\n0,0,0,1.0\n")
-    with pytest.raises(ValueError):
-        load_field_csv(path)
+def _fft_calls(node):
+    names = ("fftn", "ifftn")
+    return sorted(
+        getattr(n.func, "attr", getattr(n.func, "id", None))
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call)
+        and (getattr(n.func, "attr", None) in names or getattr(n.func, "id", None) in names)
+    )
+
+
+def test_fft_is_called_only_by_the_spectral_helpers():
+    package = Path(dualfield.__file__).parent
+    calls = {path.name: _fft_calls(ast.parse(path.read_text())) for path in package.glob("*.py")}
+    assert {name: found for name, found in calls.items() if found} == {"fields.py": ["fftn", "ifftn"]}
+    helpers = {
+        fn.name: _fft_calls(fn)
+        for fn in ast.parse((package / "fields.py").read_text()).body
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("_to_spectrum", "_to_grid")
+    }
+    assert helpers == {"_to_spectrum": ["fftn"], "_to_grid": ["ifftn"]}

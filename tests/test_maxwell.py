@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from dualfield.dualcore import ChargePair, FieldVecPair, UnitSystem
-from dualfield.errors import CFLViolationError, GridMismatchError, SharedRatioError
+from dualfield.errors import (
+    CFLViolationError,
+    GridMismatchError,
+    SharedRatioError,
+    SuperluminalSourceError,
+)
 from dualfield.fields import (
     Grid3,
     PointSource,
@@ -289,7 +294,7 @@ def test_negative_time_step_is_rejected():
 def test_superluminal_source_is_rejected():
     grid = cube(16)
     source = moving_source((3.0, 3.0, 3.0), (1.5, 0.0, 0.0), 1.0, 0.0, sigma=math.pi / 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(SuperluminalSourceError):
         step_symmetric_maxwell(zero_state(grid, [source]), 0.01, NAT)
 
 

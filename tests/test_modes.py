@@ -20,6 +20,7 @@ from dualfield.fields import (
     fields_from_potentials,
     helmholtz_decompose,
 )
+from dualfield import modes
 from dualfield.modes import (
     ChargeFourier,
     ModeAmplitudeSet,
@@ -118,6 +119,16 @@ def test_recommended_smearing_is_a_fifth_of_the_closest_pair():
         recommended_smearing(np.zeros((2, 3)))
 
 
+def test_source_pairs_name_the_first_coincident_pair():
+    a, b = [0.0, 0.0, 0.0], [1.0, 2.0, 0.5]
+    with pytest.raises(CoincidentSourcesError, match="sources 0 and 3 coincide"):
+        modes._source_pairs(np.array([a, b, b, a]))  # (0, 3) precedes (1, 2)
+    positions = np.array([a, b, [0.3, -1.0, 2.0], [4.0, 0.0, 0.0]])
+    i, j, r = modes._source_pairs(positions)
+    assert list(zip(i, j)) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    assert list(r) == [float(np.linalg.norm(positions[p] - positions[q])) for p, q in zip(i, j)]
+
+
 def test_coulomb_mode_set_scales_with_the_geometry():
     sources = source_pair(r=2.0, sigma=0.25)
     ms = coulomb_mode_set(sources)
@@ -201,6 +212,20 @@ def test_two_field_cross_term_is_structurally_zero():
     mm_ref = 0.3 * 0.9 / (4.0 * math.pi * 1.2)
     assert abs(ee - ee_ref) / abs(ee_ref) < 0.01
     assert abs(mm - mm_ref) / abs(mm_ref) < 0.01
+
+
+def test_two_field_energy_builds_the_lattice_kernel_once(monkeypatch):
+    calls = []
+    kernel = modes._pair_kernel
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(modes, "_pair_kernel", spy)
+    sources = source_pair(r=1.2, qe=(1.0, -0.5), qm=(0.3, 0.9), sigma=0.2)
+    two_field_energy(sources, ModeSet.lattice(dk=1.0, kmax=4.0), NAT)
+    assert len(calls) == 1
 
 
 def test_two_field_sector_energies_are_independent():
