@@ -98,10 +98,12 @@ class ScenarioConfig:
             raise ConfigError("missing [scenario] name")
         self.name = parser.get("scenario", "name")
         self.seed = self.get_int("scenario", "seed", 0)
-        self.units = UnitSystem(
-            c=self.get_float("units", "c", 1.0),
-            eps0=self.get_float("units", "eps0", 1.0),
-        )
+        c = self.get_float("units", "c", 1.0)
+        eps0 = self.get_float("units", "eps0", 1.0)
+        try:
+            self.units = UnitSystem(c=c, eps0=eps0)
+        except ValueError as exc:
+            raise ConfigError(f"[units] {exc}") from exc
 
     def _raw(self, section: str, key: str):
         if self.parser.has_option(section, key):
@@ -139,6 +141,16 @@ class ScenarioConfig:
         if len(parts) != 3:
             raise ConfigError(f"[{section}] {key} needs 1 or 3 numbers, got {raw!r}")
         return np.asarray(parts)
+
+    def time_steps(self, dt_default: float, steps_default: int) -> tuple[float, int]:
+        """``[evolution] dt`` and ``steps``: a positive finite step, at least one."""
+        dt = self.get_float("evolution", "dt", dt_default)
+        if not (math.isfinite(dt) and dt > 0):
+            raise ConfigError(f"[evolution] dt must be positive and finite, got {dt!r}")
+        steps = self.get_int("evolution", "steps", steps_default)
+        if steps < 1:
+            raise ConfigError(f"[evolution] steps must be at least 1, got {steps}")
+        return dt, steps
 
     def grid(self, default_n: int = 32) -> Grid3:
         n = self.get_vector("grid", "n", [default_n] * 3)
@@ -374,6 +386,8 @@ def rotation_property_residuals(count: int, seed: int, units: UnitSystem) -> dic
 
 def run_rotation_properties(cfg: ScenarioConfig, outdir: Path) -> Checks:
     count = cfg.get_int("sweep", "count", 2000)
+    if count < 1:
+        raise ConfigError(f"[sweep] count must be at least 1, got {count}")
     limit = cfg.get_float("checks", "max_residual", 1e-12)
     residuals = rotation_property_residuals(count, cfg.seed, cfg.units)
     checks = Checks()
@@ -397,12 +411,7 @@ def run_dual_covariance(cfg: ScenarioConfig, outdir: Path) -> Checks:
         B_long = coulomb_field_from_density(rho_m, 1.0)
         fields = FieldVecPair(fields.E + E_long.data, fields.B + B_long.data)
     state = EMState(0.0, grid, fields, sources)
-    dt = cfg.get_float("evolution", "dt", 0.005)
-    if not (math.isfinite(dt) and dt > 0):
-        raise ConfigError(f"[evolution] dt must be positive and finite, got {dt!r}")
-    steps = cfg.get_int("evolution", "steps", 100)
-    if steps < 1:
-        raise ConfigError(f"[evolution] steps must be at least 1, got {steps}")
+    dt, steps = cfg.time_steps(0.005, 100)
     limit = cfg.get_float("checks", "max_residual", 1e-10)
     require_shared = cfg.parser.getboolean("checks", "require_shared_ratio", fallback=True)
 
@@ -602,16 +611,21 @@ def run_monopole_flyby(cfg: ScenarioConfig, outdir: Path) -> Checks:
     monopole_pos = cfg.get_vector("monopole", "position", [0.0, 0.0, 0.0])
     position = cfg.get_vector("particle", "position", [-2.0, 1.0, 0.0])
     velocity = cfg.get_vector("particle", "velocity", [0.05, 0.0, 0.0])
-    charges = ChargePair(
-        cfg.get_float("particle", "qe", 1.0), cfg.get_float("particle", "qm", 0.0)
-    )
+    qe = cfg.get_float("particle", "qe", 1.0)
+    qm = cfg.get_float("particle", "qm", 0.0)
     mass = cfg.get_float("particle", "mass", 1.0)
-    dt = cfg.get_float("evolution", "dt", 0.05)
-    steps = cfg.get_int("evolution", "steps", 1600)
+    dt, steps = cfg.time_steps(0.05, 1600)
+    for name, value in (("[monopole] qm", monopole_qm), ("[monopole] position", monopole_pos),
+                        ("[particle] position", position), ("[particle] velocity", velocity)):
+        if not np.all(np.isfinite(value)):
+            raise ConfigError(f"{name} must be finite, got {value}")
 
     sampler = MonopoleSampler(monopole_qm, monopole_pos, units)
-    particle = ParticleState(position, velocity, charges, mass)
-    normal = plane_normal(particle.position - sampler.center, particle.velocity)
+    try:
+        particle = ParticleState(position, velocity, ChargePair(qe, qm), mass)
+        normal = plane_normal(particle.position - sampler.center, particle.velocity)
+    except ValueError as exc:
+        raise ConfigError(f"[particle] {exc}") from exc
 
     checks = Checks()
     ratios = {}

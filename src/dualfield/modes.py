@@ -29,6 +29,15 @@ corrected midpoint rule.  Plain midpoint weights ``dk^3 / k_n^2`` would
 instead converge to the *periodic* (image-summed) interaction, which at the
 documented cutoffs is biased by roughly 2.8 * r * dk / (2 pi) (about 13%),
 far outside the required agreement with the open-space Coulomb law.
+
+The cell weights, the spherical cutoff and the Gaussian smearing factor are
+all even in each lattice coordinate on its own, so in the pair sum of
+``w cos(k.r) exp(-k^2 s^2 / 2)`` every sine term cancels and the product
+``cos(kx rx) cos(ky ry) cos(kz rz)`` remains.  The sum therefore folds onto
+the octant ``n_a >= 0`` with multiplicity 2 per nonzero coordinate and
+separates by axis: one small matrix product per x-slice instead of a cosine
+at every lattice point.  A weight rule that broke this evenness would need
+the full signed lattice again.
 """
 
 from __future__ import annotations
@@ -252,52 +261,56 @@ def _cell_weight_gauss(n: tuple[int, int, int], points: int) -> float:
 
 @lru_cache(maxsize=1)
 def _near_weight_table() -> np.ndarray:
-    """Dimensionless exact cell weights for |n|_inf <= _NEAR, indexed n + _NEAR."""
-    size = 2 * _NEAR + 1
+    """Dimensionless exact cell weights of the octant 0 <= n_a <= _NEAR, indexed n.
+
+    The weights are even in each axis, so the octant stands for all signs.
+    """
+    size = _NEAR + 1
     table = np.zeros((size, size, size))
-    for ix in range(-_NEAR, _NEAR + 1):
-        for iy in range(-_NEAR, _NEAR + 1):
-            for iz in range(-_NEAR, _NEAR + 1):
+    for ix in range(size):
+        for iy in range(size):
+            for iz in range(size):
                 if (ix, iy, iz) == (0, 0, 0):
                     value = _zero_cell_weight()
                 else:
-                    points = 16 if max(abs(ix), abs(iy), abs(iz)) <= 2 else 8
+                    points = 16 if max(ix, iy, iz) <= 2 else 8
                     value = _cell_weight_gauss((ix, iy, iz), points)
-                table[ix + _NEAR, iy + _NEAR, iz + _NEAR] = value
+                table[ix, iy, iz] = value
     return table
 
 
 def _pair_kernel(rvecs: np.ndarray, s2: np.ndarray, dk: float, kmax: float,
                  eps0: float) -> np.ndarray:
     """Open-space Coulomb kernel sum_cells w cos(k.r) exp(-k^2 s2 / 2) per pair,
-    normalized so a pair contributes Q_i Q_j * kernel to the energy."""
-    n_pairs = rvecs.shape[0]
-    nmax = int(math.floor(kmax / dk))
-    kmax2 = kmax * kmax
-    table = _near_weight_table()
+    normalized so a pair contributes Q_i Q_j * kernel to the energy.
 
-    s2_unique, s2_inverse = np.unique(s2, return_inverse=True)
-    idx = np.arange(-nmax, nmax + 1)
-    ny, nz = np.meshgrid(idx, idx, indexing="ij")
-    n_perp2 = ny**2 + nz**2
-    near_yz = (np.abs(ny) <= _NEAR) & (np.abs(nz) <= _NEAR)
-    totals = np.zeros(n_pairs)
-    for ix in idx:
-        k2 = (dk * dk) * (ix * ix + n_perp2)
-        mask = k2 <= kmax2
-        k2m = k2[mask]
-        nonzero = k2m > 0.0
-        safe = np.where(nonzero, k2m, 1.0)
-        w = np.where(nonzero, (dk**3 / safe) * (1.0 + dk * dk / (12.0 * safe)), 0.0)
-        if abs(ix) <= _NEAR:
-            near = near_yz[mask]
-            w[near] = dk * table[ix + _NEAR, ny[mask][near] + _NEAR, nz[mask][near] + _NEAR]
-        nym = ny[mask]
-        nzm = nz[mask]
-        damps = [np.exp(-0.5 * k2m * value) for value in s2_unique]
-        for p in range(n_pairs):
-            phase = dk * (ix * rvecs[p, 0] + nym * rvecs[p, 1] + nzm * rvecs[p, 2])
-            totals[p] += float(np.sum(w * np.cos(phase) * damps[s2_inverse[p]]))
+    Summed over the octant (see the module docstring) as
+    sum_ix Fx[p, ix] * sum_{iy, iz} Fy[p, iy] W_ix[iy, iz] Fz[p, iz] with
+    Fa[p, i] = mult_i cos(dk i r_a) exp(-(dk i)^2 s2 / 2), mult_i = 2 for
+    i > 0 and 1 for i = 0, and W_ix the weights of the slice n_x = ix.
+    """
+    nmax = int(math.floor(kmax / dk))
+    n = np.arange(nmax + 1)
+    n2 = n * n
+    # far weights by integer |n|^2; the origin's entry is replaced from the near table
+    k2 = (dk * dk) * np.arange(3 * nmax * nmax + 1)
+    inside = k2 <= kmax * kmax
+    k2[0] = 1.0
+    far = np.where(inside, (dk**3 / k2) * (1.0 + dk * dk / (12.0 * k2)), 0.0)
+    edge = min(nmax, _NEAR) + 1
+    near_n2 = n2[:edge, None, None] + n2[:edge, None] + n2[:edge]
+    near = np.where(inside[near_n2], dk * _near_weight_table()[:edge, :edge, :edge], 0.0)
+    n_perp2 = n2[:, None] + n2
+
+    kn = dk * n
+    F = (np.where(n > 0, 2.0, 1.0) * np.cos(rvecs.T[:, :, None] * kn)
+         * np.exp(-0.5 * np.multiply.outer(s2, kn * kn)))
+    totals = np.zeros(rvecs.shape[0])
+    for ix in n:
+        w = far[ix * ix + n_perp2]
+        if ix < edge:
+            w[:edge, :edge] = near[ix]
+        totals += F[0][:, ix] * ((F[1] @ w) * F[2]).sum(axis=1)
     return totals / ((2.0 * math.pi) ** 3 * eps0)
 
 
@@ -733,7 +746,11 @@ def save_amplitudes(path, amp: ModeAmplitudeSet) -> None:
 
 
 def load_amplitudes(path) -> ModeAmplitudeSet:
-    """Read a table written by ``save_amplitudes``."""
+    """Read a table written by ``save_amplitudes``.
+
+    Raises ``ValueError`` unless every mode has its four rows in ``lam``
+    order 0-3, each with the columns the header's ``two_field`` flag names.
+    """
     with open(path) as fh:
         meta = fh.readline().strip()
         if not meta.startswith("# dk="):
@@ -744,12 +761,19 @@ def load_amplitudes(path) -> ModeAmplitudeSet:
         two_field = bool(int(parts["two_field"]))
         fh.readline()  # column header
         rows = [line.strip().split(",") for line in fh if line.strip()]
-    n = len(rows) // 4
+    n, partial = divmod(len(rows), 4)
+    if partial:
+        raise ValueError(f"{len(rows)} amplitude rows do not make whole modes of 4 rows")
+    width = 8 if two_field else 6
     kvecs = np.zeros((n, 3))
     a = np.zeros((n, 4), dtype=complex)
     b = np.zeros((n, 4), dtype=complex) if two_field else None
     for i, row in enumerate(rows):
         m, lam = divmod(i, 4)
+        if len(row) != width:
+            raise ValueError(f"amplitude row {i} has {len(row)} columns, expected {width}")
+        if int(row[3]) != lam:
+            raise ValueError(f"amplitude row {i} has lam={row[3]}, expected {lam}")
         kvecs[m] = [float(v) for v in row[:3]]
         a[m, lam] = complex(float(row[4]), float(row[5]))
         if two_field:

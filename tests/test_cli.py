@@ -241,6 +241,11 @@ def test_failed_check_exits_three(tmp_path):
         ("covariance", "source.1.sigma=-1", 1),
         ("covariance", "evolution.dt=nan", 1),
         ("covariance", "source.1.velocity=2 0 0", 2),
+        ("flyby", "evolution.dt=nan", 1),
+        ("flyby", "evolution.dt=-1", 1),
+        ("flyby", "particle.mass=0", 1),
+        ("flyby", "particle.velocity=0", 1),
+        ("flyby", "units.c=nan", 1),
     ],
 )
 def test_invalid_inputs_exit_with_their_code_not_a_traceback(tmp_path, capsys, key, override, code):
@@ -257,8 +262,12 @@ def test_invalid_inputs_exit_with_their_code_not_a_traceback(tmp_path, capsys, k
         ("covariance", "rotation.thetas="),
         ("noether", "sweep.count=0"),
         ("helicity", "evolution.samples=1"),
+        ("flyby", "evolution.steps=0"),
+        ("flyby", "monopole.qm=nan"),
+        ("rotation", "sweep.count=0"),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_configs_that_measure_nothing_exit_one(tmp_path, key, override):
     cfg = write_cfg(tmp_path, BASE[key])
     out = tmp_path / "out"

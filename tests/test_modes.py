@@ -228,6 +228,38 @@ def test_two_field_energy_builds_the_lattice_kernel_once(monkeypatch):
     assert len(calls) == 1
 
 
+def full_lattice_kernel(rvecs, s2, dk, kmax, eps0):
+    """Reference for ``_pair_kernel``: every signed lattice point in the cutoff,
+    each cell weight written out, and the full cos(k.r)."""
+    nmax = int(math.floor(kmax / dk))
+    idx = np.arange(-nmax, nmax + 1)
+    cells = np.stack(np.meshgrid(idx, idx, idx, indexing="ij"), axis=-1).reshape(-1, 3)
+    k2 = (dk * dk) * np.sum(cells * cells, axis=1)
+    cells, k2 = cells[k2 <= kmax * kmax], k2[k2 <= kmax * kmax]
+    weights = np.empty(len(cells))
+    for row, n in enumerate(cells):
+        reach = int(np.max(np.abs(n)))
+        if reach == 0:
+            weights[row] = dk * modes._zero_cell_weight()
+        elif reach <= modes._NEAR:
+            weights[row] = dk * modes._cell_weight_gauss(tuple(n), 16 if reach <= 2 else 8)
+        else:
+            weights[row] = dk**3 / k2[row] * (1.0 + dk * dk / (12.0 * k2[row]))
+    k = dk * cells
+    terms = weights * np.cos(rvecs @ k.T) * np.exp(-0.5 * np.multiply.outer(s2, k2))
+    return terms.sum(axis=1) / (TWO_PI**3 * eps0)
+
+
+@pytest.mark.parametrize("kmax", [6.0, 2.2])
+def test_pair_kernel_matches_the_full_signed_lattice(kmax):
+    # nmax 12 reaches past the exact-weight block, nmax 4 cuts through it
+    rvecs = np.array([[0.3, -0.7, 1.1], [-1.2, 0.4, 0.25], [0.05, 0.9, -0.6]])
+    s2 = np.array([0.02, 0.05, 0.11])
+    kernel = modes._pair_kernel(rvecs, s2, 0.5, kmax, 2.0)
+    reference = full_lattice_kernel(rvecs, s2, 0.5, kmax, 2.0)
+    np.testing.assert_allclose(kernel, reference, rtol=1e-13, atol=0.0)
+
+
 def test_two_field_sector_energies_are_independent():
     sources = source_pair(r=1.5, qe=(1.0, -1.0), qm=(0.0, 0.0), sigma=0.25)
     ee, mm, em = two_field_energy(sources, coulomb_mode_set(sources), NAT)
@@ -555,6 +587,26 @@ def test_amplitude_round_trip(tmp_path, two_field):
     else:
         assert loaded.b is None
     assert loaded.modes.dk == ms.dk
+
+
+@pytest.mark.parametrize(
+    "damage",
+    ["drop the last row", "swap two lam rows", "drop a column"],
+)
+def test_load_amplitudes_rejects_a_damaged_table(tmp_path, damage):
+    ms = ModeSet.from_kvecs(np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 1.0]]), dk=0.5)
+    path = tmp_path / "amplitudes.txt"
+    save_amplitudes(path, ModeAmplitudeSet(ms, np.ones((2, 4), dtype=complex)))
+    lines = path.read_text().splitlines()
+    if damage == "drop the last row":
+        lines = lines[:-1]
+    elif damage == "swap two lam rows":
+        lines[3], lines[4] = lines[4], lines[3]
+    else:
+        lines[-1] = lines[-1].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        load_amplitudes(path)
 
 
 def test_load_amplitudes_requires_metadata(tmp_path):
