@@ -128,6 +128,14 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key} must be an integer, got {raw!r}") from exc
 
+    def get_bool(self, section: str, key: str, default: bool) -> bool:
+        raw = self._raw(section, key)
+        if raw is None:
+            return default
+        if raw.lower() not in self.parser.BOOLEAN_STATES:
+            raise ConfigError(f"[{section}] {key} must be a boolean, got {raw!r}")
+        return self.parser.BOOLEAN_STATES[raw.lower()]
+
     def get_vector(self, section: str, key: str, default) -> np.ndarray:
         raw = self._raw(section, key)
         if raw is None:
@@ -155,10 +163,22 @@ class ScenarioConfig:
     def grid(self, default_n: int = 32) -> Grid3:
         n = self.get_vector("grid", "n", [default_n] * 3)
         L = self.get_vector("grid", "L", [2.0 * math.pi] * 3)
+        if not np.all(np.isfinite(n) & (n == np.round(n))):
+            raise ConfigError(f"[grid] n must be whole cell counts, got {self._raw('grid', 'n')!r}")
         try:
             return Grid3(tuple(int(v) for v in n), tuple(L))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+
+    def modes(self) -> tuple[Grid3, ModeSet]:
+        """Grid (16 cells per axis by default) and its modes with
+        ``|k| <= [modes] kmax``; a cutoff that selects no mode is rejected."""
+        grid = self.grid(default_n=16)
+        kmax = self.get_float("modes", "kmax", 3.5 * 2.0 * math.pi / max(grid.L))
+        ms = ModeSet.from_grid(grid, kmax)
+        if ms.n_modes == 0:
+            raise ConfigError(f"[modes] kmax = {kmax!r} selects no mode of the grid")
+        return grid, ms
 
     def thetas(self) -> list[float]:
         raw = self._raw("rotation", "thetas")
@@ -413,7 +433,7 @@ def run_dual_covariance(cfg: ScenarioConfig, outdir: Path) -> Checks:
     state = EMState(0.0, grid, fields, sources)
     dt, steps = cfg.time_steps(0.005, 100)
     limit = cfg.get_float("checks", "max_residual", 1e-10)
-    require_shared = cfg.parser.getboolean("checks", "require_shared_ratio", fallback=True)
+    require_shared = cfg.get_bool("checks", "require_shared_ratio", True)
 
     checks = Checks()
     for theta in cfg.thetas():
@@ -515,19 +535,9 @@ def run_two_field_cross(cfg: ScenarioConfig, outdir: Path) -> Checks:
     return checks
 
 
-def _random_subsidiary_potentials(ms, grid, units, rng):
-    theta = rng.uniform(0.0, 2.0 * math.pi)
-    a = rng.normal(size=(ms.n_modes, 4)) + 1j * rng.normal(size=(ms.n_modes, 4))
-    amp = ModeAmplitudeSet(ms, a)
-    pp, dpp = synthesize_potentials(amp, theta, grid, units)
-    return pp, dpp, theta
-
-
 def run_noether_zero(cfg: ScenarioConfig, outdir: Path) -> Checks:
     units = cfg.units
-    grid = cfg.grid(default_n=16)
-    kmax = cfg.get_float("modes", "kmax", 3.5 * 2.0 * math.pi / max(grid.L))
-    ms = ModeSet.from_grid(grid, kmax)
+    grid, ms = cfg.modes()
     count = cfg.get_int("sweep", "count", 10)
     if count < 1:
         raise ConfigError(f"[sweep] count must be at least 1, got {count}")
@@ -536,17 +546,21 @@ def run_noether_zero(cfg: ScenarioConfig, outdir: Path) -> Checks:
     worst_charge = 0.0
     worst_current = 0.0
     for _ in range(count):
-        pp, dpp, _ = _random_subsidiary_potentials(ms, grid, units, rng)
+        theta = rng.uniform(0.0, 2.0 * math.pi)
+        a = rng.normal(size=(ms.n_modes, 4)) + 1j * rng.normal(size=(ms.n_modes, 4))
+        pp, dpp = synthesize_potentials(ModeAmplitudeSet(ms, a), theta, grid, units)
         value, scale = noether_dual_charge(pp, dpp, grid, units)
         worst_charge = max(worst_charge, abs(value) / scale)
         f, f_scale = noether_dual_current(pp, dpp, grid, units)
         worst_current = max(worst_current, float(np.max(np.abs(f)) / np.max(f_scale)))
 
-    # a deliberately broken pairing: independent A and C potentials
-    pp_a, dpp_a, _ = _random_subsidiary_potentials(ms, grid, units, rng)
-    pp_c, dpp_c, _ = _random_subsidiary_potentials(ms, grid, units, rng)
-    broken = PotentialPair(pp_a.A, units.c * pp_c.A)
-    broken_dt = PotentialPair(dpp_a.A, units.c * dpp_c.A)
+    # a deliberately broken pairing: C from amplitudes 1j * eta * a (eta the
+    # metric signs), so every mode adds to the charge with the same sign; an
+    # independent C gives a random sum that can nearly cancel
+    a = rng.normal(size=(ms.n_modes, 4)) + 1j * rng.normal(size=(ms.n_modes, 4))
+    eta = np.array([1.0, -1.0, -1.0, -1.0])
+    broken_amp = ModeAmplitudeSet(ms, a, 1j * eta * a)
+    broken, broken_dt = synthesize_potentials(broken_amp, 0.0, grid, units)
     value, scale = noether_dual_charge(broken, broken_dt, grid, units)
     violating = abs(value) / scale
 
@@ -562,9 +576,7 @@ def run_noether_zero(cfg: ScenarioConfig, outdir: Path) -> Checks:
 
 def run_helicity_conservation(cfg: ScenarioConfig, outdir: Path) -> Checks:
     units = cfg.units
-    grid = cfg.grid(default_n=16)
-    kmax = cfg.get_float("modes", "kmax", 3.5 * 2.0 * math.pi / max(grid.L))
-    ms = ModeSet.from_grid(grid, kmax)
+    grid, ms = cfg.modes()
     rng = np.random.default_rng(cfg.seed)
     theta = cfg.get_float("rotation", "theta", 0.6)
     a = np.zeros((ms.n_modes, 4), dtype=complex)

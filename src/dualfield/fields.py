@@ -4,13 +4,16 @@ All grid fields live on a uniform periodic box sampled at cell corners
 ``x_i = i * h``.  Derivatives are spectral (FFT), so smooth periodic data is
 differentiated to near machine precision.
 
-Spectral convention: every spectrum in the package is the full complex
-``fftn`` of the grid samples, unnormalized forward and ``1/N`` inverse.
-``_to_spectrum`` and ``_to_grid`` are the only transforms; both act on the
-last three axes and take any leading axes, so a vector field of shape
-(3, nx, ny, nz) is transformed in one call.  Wavevectors come from
-``_kgrid``, shape (3, nx, ny, nz), with each axis in ``np.fft.fftfreq``
-order (zero first, negative frequencies in the upper half).
+Spectral convention: every spectrum in the package is the real-input half
+spectrum (``rfftn``, ``kz >= 0``) of the grid samples, unnormalized forward
+and ``1/N`` inverse.  ``_to_spectrum`` and ``_to_grid`` are the only
+transforms; both act on the last three axes and take any leading axes, so a
+vector field of shape (3, nx, ny, nz) is transformed in one call.
+Wavevectors come from ``_kgrid``, shape (3, nx, ny, nz // 2 + 1), with x and
+y in ``np.fft.fftfreq`` order.  Spectra are Nyquist-free: the Nyquist mode
+of an axis has no Hermitian partner, so on that axis's Nyquist plane
+``_kgrid`` gives the axis's wavenumber component as zero (odd derivatives
+along the axis vanish there), and source spectra are zero on the plane.
 
 Sources are Gaussian-smeared point carriers.  Deposition synthesizes the
 periodic image sum of the Gaussian directly from its analytic spectrum,
@@ -83,38 +86,31 @@ class Grid3:
         )
 
 
+def _half_mesh(grid: Grid3, axes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Open mesh (``np.ix_``) of per-axis arrays in ``fftfreq`` order on the
+    half spectrum: z cut to ``kz >= 0``, every Nyquist entry zero."""
+    x, y, z = (a * (np.arange(n) != n // 2) for a, n in zip(axes, grid.n))
+    return np.ix_(x, y, z[: grid.n[2] // 2 + 1])
+
+
 @lru_cache(maxsize=16)
 def _kgrid(grid: Grid3) -> np.ndarray:
-    kx, ky, kz = grid.kaxes()
-    out = np.empty((3,) + grid.shape)
-    out[0] = kx[:, None, None]
-    out[1] = ky[None, :, None]
-    out[2] = kz[None, None, :]
-    return out
+    return np.stack(np.broadcast_arrays(*_half_mesh(grid, grid.kaxes())))
 
 
 @lru_cache(maxsize=16)
 def _ksquared(grid: Grid3) -> np.ndarray:
-    k = _kgrid(grid)
-    return k[0] ** 2 + k[1] ** 2 + k[2] ** 2
+    return np.sum(_kgrid(grid) ** 2, axis=0)
 
 
 def _to_spectrum(x: np.ndarray) -> np.ndarray:
-    """Complex spectrum over the last three axes (leading axes are batched)."""
-    return np.fft.fftn(x, axes=(-3, -2, -1))
+    """Half spectrum over the last three axes (leading axes are batched)."""
+    return np.fft.rfftn(x, axes=(-3, -2, -1))
 
 
 def _to_grid(hat: np.ndarray) -> np.ndarray:
-    """Real grid samples of a spectrum over the last three axes.
-
-    Each 3-D block is inverted on its own into one preallocated real array,
-    so only one complex block is alive at a time (a whole-batch ``ifftn``
-    raised peak memory).
-    """
-    out = np.empty(hat.shape)
-    for index in np.ndindex(hat.shape[:-3]):
-        out[index] = np.fft.ifftn(hat[index], axes=(-3, -2, -1)).real
-    return out
+    """Real grid samples of a half spectrum over the last three axes (even nz)."""
+    return np.fft.irfftn(hat, axes=(-3, -2, -1))
 
 
 def _curl_hat(k: np.ndarray, hat: np.ndarray) -> np.ndarray:
@@ -210,13 +206,12 @@ def _validate_source_geometry(source: PointSource, grid: Grid3) -> None:
 
 
 def _gaussian_profile(source: PointSource, grid: Grid3) -> np.ndarray:
-    """Spectrum of one source's unit-charge Gaussian, divided by the cell volume."""
-    kx, ky, kz = grid.kaxes()
+    """Half spectrum of one source's unit-charge Gaussian, divided by the cell volume."""
     half = 0.5 * source.sigma**2
-    fx = np.exp(-1j * kx * source.position[0] - half * kx**2)
-    fy = np.exp(-1j * ky * source.position[1] - half * ky**2)
-    fz = np.exp(-1j * kz * source.position[2] - half * kz**2)
-    return (1.0 / grid.cell_volume) * fx[:, None, None] * fy[None, :, None] * fz[None, None, :]
+    fx, fy, fz = _half_mesh(
+        grid, [np.exp(-1j * k * x - half * k**2) for k, x in zip(grid.kaxes(), source.position)]
+    )
+    return (1.0 / grid.cell_volume) * fx * fy * fz
 
 
 def source_spectra(
@@ -224,11 +219,12 @@ def source_spectra(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Analytic spectra (rho_e, rho_m, j_e, j_m) of the smeared sources.
 
-    Entries are Fourier-series coefficients divided by the cell volume, i.e.
-    ``_to_grid`` of a returned array gives the real-space samples.  The
+    Entries are Fourier-series coefficients divided by the cell volume on the
+    Nyquist-free half spectrum, shape (nx, ny, nz // 2 + 1) per component,
+    i.e. ``_to_grid`` of a returned array gives the real-space samples.  The
     currents are those of ``current_spectra`` (zero when no source moves).
     """
-    shape = grid.shape
+    shape = _kgrid(grid).shape[1:]
     rho_e = np.zeros(shape, dtype=complex)
     rho_m = np.zeros(shape, dtype=complex)
     for s in sources:
@@ -263,14 +259,15 @@ def current_spectra(
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Spectra (j_e, j_m) of the moving sources only, or None if none move.
 
-    Same conventions as ``source_spectra``; geometry is not re-validated, so
-    positions may sit outside the box (the spectra are periodic in them).
+    Same conventions and half-spectrum shape as ``source_spectra``, each
+    (3, nx, ny, nz // 2 + 1); geometry is not re-validated, so positions may
+    sit outside the box (the spectra are periodic in them).
     """
     movers = [s for s in sources if np.any(s.velocity != 0.0)]
     if not movers:
         return None
-    j_e = np.zeros((3,) + grid.shape, dtype=complex)
-    j_m = np.zeros((3,) + grid.shape, dtype=complex)
+    j_e = np.zeros(_kgrid(grid).shape, dtype=complex)
+    j_m = np.zeros(_kgrid(grid).shape, dtype=complex)
     for s in movers:
         profile = _gaussian_profile(s, grid)
         for axis in range(3):
@@ -345,7 +342,9 @@ def fields_from_potentials(
 def helmholtz_decompose(field: VectorField) -> tuple[VectorField, VectorField]:
     """Split a vector field into (transverse, longitudinal) parts.
 
-    The spatial mean (k = 0 component) is assigned to the longitudinal part.
+    The spatial mean (k = 0 component) is assigned to the longitudinal part;
+    the Nyquist corners, whose Nyquist-free wavevector is also zero, to the
+    transverse part.
     """
     grid = field.grid
     k = _kgrid(grid)
@@ -463,19 +462,31 @@ def save_field(path, field: ScalarField | VectorField) -> None:
 
 
 def load_field(path) -> ScalarField | VectorField:
-    """Read a grid field written by ``save_field``."""
+    """Read a grid field written by ``save_field``.
+
+    A foreign or damaged file (short header, component count other than 1 or
+    3, payload shorter or longer than the header implies) raises ``ValueError``.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _MAGIC:
             raise ValueError(f"not a dualfield grid file: bad magic {magic!r}")
-        header = np.fromfile(fh, dtype=np.int64, count=4)
-        ncomp, nx, ny, nz = (int(v) for v in header)
-        L = tuple(np.fromfile(fh, dtype=np.float64, count=3))
-        data = np.fromfile(fh, dtype=np.float64, count=ncomp * nx * ny * nz)
-    grid = Grid3((nx, ny, nz), L)
+        header = fh.read(56)
+        payload = fh.read()
+    if len(header) != 56:
+        raise ValueError(f"truncated grid file header: {len(header)} of 56 bytes")
+    ncomp, nx, ny, nz = (int(v) for v in np.frombuffer(header, dtype="<i8", count=4))
+    if ncomp not in (1, 3):
+        raise ValueError(f"unsupported component count {ncomp}")
+    grid = Grid3((nx, ny, nz), tuple(np.frombuffer(header, dtype="<f8", offset=32)))
+    expected = 8 * ncomp * nx * ny * nz
+    if len(payload) != expected:
+        raise ValueError(
+            f"grid file payload is {len(payload)} bytes, expected {expected} "
+            f"for {ncomp} component(s) on {grid.n}"
+        )
+    data = np.frombuffer(payload, dtype="<f8").astype(float)
     data = np.moveaxis(data.reshape(nx, ny, nz, ncomp), -1, 0)
     if ncomp == 1:
         return ScalarField(grid, data[0])
-    if ncomp == 3:
-        return VectorField(grid, data)
-    raise ValueError(f"unsupported component count {ncomp}")
+    return VectorField(grid, data)

@@ -619,7 +619,8 @@ def synthesize_potentials(
             np.add.at(S[mu], neg, n_cells * np.conj(coeff[:, mu]))
             np.add.at(S_dt[mu], pos, n_cells * (-1j * omega) * coeff[:, mu])
             np.add.at(S_dt[mu], neg, n_cells * np.conj((-1j * omega) * coeff[:, mu]))
-        return _to_grid(S), _to_grid(S_dt)
+        half = grid.n[2] // 2 + 1
+        return _to_grid(S[..., :half]), _to_grid(S_dt[..., :half])
 
     X, X_dt = spectra(amp.a)
     if amp.b is None:

@@ -168,6 +168,15 @@ def test_noether_reads_the_sweep_count(tmp_path):
     assert read_summary(out)["config_count"] == "2"
 
 
+@pytest.mark.parametrize("seed", [9, 25, 44, 126])
+def test_noether_violating_config_clears_its_floor(tmp_path, seed):
+    # seeds at which an independently drawn C nearly cancels the violating charge
+    cfg = write_cfg(tmp_path, "[scenario]\nname = noether-zero\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg, "--out", str(out), "--seed", str(seed)]) == 0
+    assert float(read_summary(out)["violating_charge_rel"]) >= 1e-3
+
+
 def test_override_flag_reaches_the_scenario(tmp_path):
     cfg = write_cfg(tmp_path, BASE["rotation"])
     out = tmp_path / "out"
@@ -241,6 +250,8 @@ def test_failed_check_exits_three(tmp_path):
         ("covariance", "source.1.sigma=-1", 1),
         ("covariance", "evolution.dt=nan", 1),
         ("covariance", "source.1.velocity=2 0 0", 2),
+        ("covariance", "checks.require_shared_ratio=maybe", 1),
+        ("covariance", "grid.n=1e400", 1),
         ("flyby", "evolution.dt=nan", 1),
         ("flyby", "evolution.dt=-1", 1),
         ("flyby", "particle.mass=0", 1),
@@ -261,6 +272,12 @@ def test_invalid_inputs_exit_with_their_code_not_a_traceback(tmp_path, capsys, k
         ("covariance", "evolution.steps=-5"),
         ("covariance", "rotation.thetas="),
         ("noether", "sweep.count=0"),
+        ("noether", "modes.kmax=0"),
+        ("noether", "modes.kmax=nan"),
+        ("noether", "modes.kmax=-1"),
+        ("helicity", "modes.kmax=0"),
+        ("helicity", "modes.kmax=nan"),
+        ("helicity", "modes.kmax=-1"),
         ("helicity", "evolution.samples=1"),
         ("flyby", "evolution.steps=0"),
         ("flyby", "monopole.qm=nan"),

@@ -179,6 +179,22 @@ def test_evolution_is_linear():
     assert np.max(np.abs(out_both.fields.B - out_a.fields.B - out_b.fields.B)) / scale < 1e-12
 
 
+def test_stepping_is_a_semigroup_on_full_spectrum_fields():
+    # random normal samples fill every bin, Nyquist planes included
+    grid = cube(16)
+    rng = np.random.default_rng(11)
+    fields = FieldVecPair(rng.normal(size=(3,) + grid.shape), rng.normal(size=(3,) + grid.shape))
+    state = EMState(0.0, grid, fields, [])
+    dt = 0.25 * min(grid.spacing)
+    stepped = state
+    for _ in range(20):
+        stepped = step_symmetric_maxwell(stepped, dt, NAT, steps=1)
+    at_once = step_symmetric_maxwell(state, dt, NAT, steps=20)
+    diff = np.concatenate([stepped.fields.E - at_once.fields.E, stepped.fields.B - at_once.fields.B])
+    scale = np.concatenate([at_once.fields.E, at_once.fields.B])
+    assert np.linalg.norm(diff) / np.linalg.norm(scale) <= 1e-13
+
+
 # --- conservation -----------------------------------------------------------------
 
 
@@ -203,6 +219,19 @@ def test_gauss_constraints_hold_during_sourced_evolution():
     out = step_symmetric_maxwell(state, 0.005, NAT, steps=100)
     rE1, rB1 = gauss_residuals(out, NAT)
     assert rE1 < 1e-10 and rB1 < 1e-10
+
+
+def test_gauss_constraints_hold_at_the_smearing_edge():
+    grid = Grid3((16, 24, 32), (6.0, 7.0, 9.0))
+    sigma = 2.0 * max(grid.spacing)
+    sources = [
+        moving_source((2.0, 3.0, 4.0), (0.05, 0.02, 0.0), 1.0, 0.5, sigma=sigma),
+        moving_source((4.0, 4.5, 6.0), (-0.03, 0.0, 0.04), -0.6, -0.3, sigma=sigma),
+    ]
+    state = consistent_state(grid, NAT, sources, n_waves=0)
+    assert max(gauss_residuals(state, NAT)) <= 1e-13
+    out = step_symmetric_maxwell(state, 0.25 * min(grid.spacing), NAT, steps=50)
+    assert max(gauss_residuals(out, NAT)) <= 1e-13
 
 
 def test_gauss_residual_flags_inconsistent_fields():
