@@ -7,9 +7,10 @@ Usage::
 Each scenario computes a set of residuals, writes every one of them (with
 its limit) to ``summary.txt`` as sorted ``key=value`` lines, and exits 0
 when all checks pass.  Exit codes: 0 success, 1 usage or configuration
-error, 2 precondition violation (for example an unstable time step), 3 a
-residual check failed.  Identical configuration and seed produce
-byte-identical outputs.
+error (including a value that is not finite or out of range and a given key
+the scenario never reads), 2 precondition violation (for example an
+unstable time step), 3 a residual check failed.  Identical configuration
+and seed produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -94,39 +95,52 @@ class ScenarioConfig:
 
     def __init__(self, parser: configparser.ConfigParser):
         self.parser = parser
-        if not parser.has_option("scenario", "name"):
+        self._read: set[tuple[str, str]] = set()
+        self.name = self._raw("scenario", "name")
+        if self.name is None:
             raise ConfigError("missing [scenario] name")
-        self.name = parser.get("scenario", "name")
-        self.seed = self.get_int("scenario", "seed", 0)
-        c = self.get_float("units", "c", 1.0)
-        eps0 = self.get_float("units", "eps0", 1.0)
-        try:
-            self.units = UnitSystem(c=c, eps0=eps0)
-        except ValueError as exc:
-            raise ConfigError(f"[units] {exc}") from exc
+        self.seed = self.get_int("scenario", "seed", 0, at_least=0)
+        self.units = UnitSystem(c=self.get_float("units", "c", 1.0, above=0),
+                                eps0=self.get_float("units", "eps0", 1.0, above=0))
 
     def _raw(self, section: str, key: str):
+        self._read.add((section, self.parser.optionxform(key)))
         if self.parser.has_option(section, key):
             return self.parser.get(section, key)
         return None
 
-    def get_float(self, section: str, key: str, default: float) -> float:
-        raw = self._raw(section, key)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} must be a number, got {raw!r}") from exc
+    def unread(self) -> list[str]:
+        """``[section] key`` for every given key that no getter has asked for."""
+        return [f"[{section}] {key}" for section in self.parser.sections()
+                for key in self.parser[section] if (section, key) not in self._read]
 
-    def get_int(self, section: str, key: str, default: int) -> int:
+    @staticmethod
+    def _check(section: str, key: str, raw: str, values, above=None, at_least=None) -> None:
+        """The bounds of every numeric getter: each value must be finite, and
+        above ``above`` and at least ``at_least`` where those are given."""
+        if not all(-math.inf < v < math.inf for v in values):
+            raise ConfigError(f"[{section}] {key} must be finite, got {raw!r}")
+        if above is not None and min(values) <= above:
+            raise ConfigError(f"[{section}] {key} must be above {above}, got {raw!r}")
+        if at_least is not None and min(values) < at_least:
+            raise ConfigError(f"[{section}] {key} must be at least {at_least}, got {raw!r}")
+
+    def _number(self, section: str, key: str, default, parse, what: str, bounds: dict):
         raw = self._raw(section, key)
         if raw is None:
             return default
         try:
-            return int(raw)
+            value = parse(raw)
         except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} must be an integer, got {raw!r}") from exc
+            raise ConfigError(f"[{section}] {key} must be {what}, got {raw!r}") from exc
+        self._check(section, key, raw, [value], **bounds)
+        return value
+
+    def get_float(self, section: str, key: str, default: float, **bounds) -> float:
+        return self._number(section, key, default, float, "a number", bounds)
+
+    def get_int(self, section: str, key: str, default: int, **bounds) -> int:
+        return self._number(section, key, default, int, "an integer", bounds)
 
     def get_bool(self, section: str, key: str, default: bool) -> bool:
         raw = self._raw(section, key)
@@ -136,7 +150,7 @@ class ScenarioConfig:
             raise ConfigError(f"[{section}] {key} must be a boolean, got {raw!r}")
         return self.parser.BOOLEAN_STATES[raw.lower()]
 
-    def get_vector(self, section: str, key: str, default) -> np.ndarray:
+    def get_vector(self, section: str, key: str, default, **bounds) -> np.ndarray:
         raw = self._raw(section, key)
         if raw is None:
             return np.asarray(default, dtype=float)
@@ -148,22 +162,13 @@ class ScenarioConfig:
             parts = parts * 3
         if len(parts) != 3:
             raise ConfigError(f"[{section}] {key} needs 1 or 3 numbers, got {raw!r}")
+        self._check(section, key, raw, parts, **bounds)
         return np.asarray(parts)
-
-    def time_steps(self, dt_default: float, steps_default: int) -> tuple[float, int]:
-        """``[evolution] dt`` and ``steps``: a positive finite step, at least one."""
-        dt = self.get_float("evolution", "dt", dt_default)
-        if not (math.isfinite(dt) and dt > 0):
-            raise ConfigError(f"[evolution] dt must be positive and finite, got {dt!r}")
-        steps = self.get_int("evolution", "steps", steps_default)
-        if steps < 1:
-            raise ConfigError(f"[evolution] steps must be at least 1, got {steps}")
-        return dt, steps
 
     def grid(self, default_n: int = 32) -> Grid3:
         n = self.get_vector("grid", "n", [default_n] * 3)
         L = self.get_vector("grid", "L", [2.0 * math.pi] * 3)
-        if not np.all(np.isfinite(n) & (n == np.round(n))):
+        if np.any(n != np.round(n)):
             raise ConfigError(f"[grid] n must be whole cell counts, got {self._raw('grid', 'n')!r}")
         try:
             return Grid3(tuple(int(v) for v in n), tuple(L))
@@ -180,6 +185,18 @@ class ScenarioConfig:
             raise ConfigError(f"[modes] kmax = {kmax!r} selects no mode of the grid")
         return grid, ms
 
+    def lattice(self) -> tuple[list[PointSource], ModeSet]:
+        """At least two ``[source.N]`` sources and their Coulomb lattice at
+        ``[modes] kmax_sigma`` and ``dk_r``."""
+        sources = self.sources()
+        if len(sources) < 2:
+            raise ConfigError(f"{self.name} needs at least two [source.N] sections")
+        return sources, coulomb_mode_set(
+            sources,
+            kmax_sigma=self.get_float("modes", "kmax_sigma", 6.0, above=0),
+            dk_r=self.get_float("modes", "dk_r", 0.3, above=0),
+        )
+
     def thetas(self) -> list[float]:
         raw = self._raw("rotation", "thetas")
         if raw is None:
@@ -190,6 +207,7 @@ class ScenarioConfig:
             raise ConfigError(f"[rotation] thetas must be numbers, got {raw!r}") from exc
         if not thetas:
             raise ConfigError("[rotation] thetas is empty")
+        self._check("rotation", "thetas", raw, thetas)
         return thetas
 
     def sources(self, sigma_fallback: float | None = None) -> list[PointSource]:
@@ -201,23 +219,20 @@ class ScenarioConfig:
             velocity = self.get_vector(section, "velocity", [0, 0, 0])
             qe = self.get_float(section, "qe", 0.0)
             qm = self.get_float(section, "qm", 0.0)
-            sigma_raw = self._raw(section, "sigma")
-            entries.append((section, position, velocity, qe, qm, sigma_raw))
+            sigma = None
+            if self._raw(section, "sigma") not in (None, "auto"):
+                sigma = self.get_float(section, "sigma", None, above=0)
+            entries.append((section, position, velocity, qe, qm, sigma))
         sources = []
         positions = [e[1] for e in entries]
-        for section, position, velocity, qe, qm, sigma_raw in entries:
-            if sigma_raw is None or sigma_raw == "auto":
+        for section, position, velocity, qe, qm, sigma in entries:
+            if sigma is None:
                 if len(positions) >= 2:
                     sigma = recommended_smearing(np.stack(positions))
                 elif sigma_fallback is not None:
                     sigma = sigma_fallback
                 else:
                     raise ConfigError("sigma=auto needs at least two sources")
-            else:
-                try:
-                    sigma = float(sigma_raw)
-                except ValueError as exc:
-                    raise ConfigError(f"sigma must be a number or 'auto', got {sigma_raw!r}") from exc
             try:
                 sources.append(PointSource(position, velocity, ChargePair(qe, qm), sigma))
             except ValueError as exc:
@@ -327,7 +342,7 @@ def rotation_property_residuals(count: int, seed: int, units: UnitSystem) -> dic
     """
     rng = np.random.default_rng(seed)
     batches = max(1, count // 50)
-    per_batch = max(1, count // batches)
+    base, extra = divmod(count, batches)
     worst: dict[str, float] = {}
 
     def update(name: str, value: float) -> None:
@@ -337,7 +352,8 @@ def rotation_property_residuals(count: int, seed: int, units: UnitSystem) -> dic
         return float(np.max(np.abs(diff)) / max(float(np.max(np.abs(scale))), 1e-30))
 
     c = units.c
-    for _ in range(batches):
+    for batch in range(batches):
+        per_batch = base + (batch < extra)
         t1 = rng.uniform(0.0, 2.0 * math.pi)
         t2 = rng.uniform(0.0, 2.0 * math.pi)
 
@@ -364,7 +380,6 @@ def rotation_property_residuals(count: int, seed: int, units: UnitSystem) -> dic
         qe = rng.normal(size=per_batch)
         qm = rng.normal(size=per_batch) / (c * units.eps0)
         pair_scale = np.hypot(qe, c * units.eps0 * qm)
-        qe1, qm1 = np.asarray([0.0]), np.asarray([0.0])
         for sample in range(per_batch):
             cp = ChargePair(qe[sample], qm[sample])
             once_c = rotate_charges(cp, t1, units)
@@ -405,9 +420,7 @@ def rotation_property_residuals(count: int, seed: int, units: UnitSystem) -> dic
 
 
 def run_rotation_properties(cfg: ScenarioConfig, outdir: Path) -> Checks:
-    count = cfg.get_int("sweep", "count", 2000)
-    if count < 1:
-        raise ConfigError(f"[sweep] count must be at least 1, got {count}")
+    count = cfg.get_int("sweep", "count", 2000, at_least=1)
     limit = cfg.get_float("checks", "max_residual", 1e-12)
     residuals = rotation_property_residuals(count, cfg.seed, cfg.units)
     checks = Checks()
@@ -431,12 +444,14 @@ def run_dual_covariance(cfg: ScenarioConfig, outdir: Path) -> Checks:
         B_long = coulomb_field_from_density(rho_m, 1.0)
         fields = FieldVecPair(fields.E + E_long.data, fields.B + B_long.data)
     state = EMState(0.0, grid, fields, sources)
-    dt, steps = cfg.time_steps(0.005, 100)
+    dt = cfg.get_float("evolution", "dt", 0.005, above=0)
+    steps = cfg.get_int("evolution", "steps", 100, at_least=1)
     limit = cfg.get_float("checks", "max_residual", 1e-10)
     require_shared = cfg.get_bool("checks", "require_shared_ratio", True)
+    thetas = cfg.thetas()
 
     checks = Checks()
-    for theta in cfg.thetas():
+    for theta in thetas:
         residual = dual_covariance_residual(
             state, theta, steps, dt, units, require_shared_ratio=require_shared
         )
@@ -460,7 +475,7 @@ def run_dual_covariance(cfg: ScenarioConfig, outdir: Path) -> Checks:
         "L": " ".join(repr(v) for v in grid.L),
         "c": units.c,
         "eps0": units.eps0,
-        "thetas": " ".join(repr(v) for v in cfg.thetas()),
+        "thetas": " ".join(repr(v) for v in thetas),
     }
     (outdir / "snapshot_header.txt").write_text(
         "\n".join(f"{k}={_format_value(v)}" for k, v in sorted(header.items())) + "\n"
@@ -470,14 +485,7 @@ def run_dual_covariance(cfg: ScenarioConfig, outdir: Path) -> Checks:
 
 def run_coulomb_equivalence(cfg: ScenarioConfig, outdir: Path) -> Checks:
     units = cfg.units
-    sources = cfg.sources()
-    if len(sources) < 2:
-        raise ConfigError("coulomb-equivalence needs at least two [source.N] sections")
-    ms = coulomb_mode_set(
-        sources,
-        kmax_sigma=cfg.get_float("modes", "kmax_sigma", 6.0),
-        dk_r=cfg.get_float("modes", "dk_r", 0.3),
-    )
+    sources, ms = cfg.lattice()
     theta_raw = cfg._raw("rotation", "theta")
     if theta_raw is None or theta_raw == "auto":
         reference = next(
@@ -503,14 +511,7 @@ def run_coulomb_equivalence(cfg: ScenarioConfig, outdir: Path) -> Checks:
 
 def run_two_field_cross(cfg: ScenarioConfig, outdir: Path) -> Checks:
     units = cfg.units
-    sources = cfg.sources()
-    if len(sources) < 2:
-        raise ConfigError("two-field-cross needs at least two [source.N] sections")
-    ms = coulomb_mode_set(
-        sources,
-        kmax_sigma=cfg.get_float("modes", "kmax_sigma", 6.0),
-        dk_r=cfg.get_float("modes", "dk_r", 0.3),
-    )
+    sources, ms = cfg.lattice()
     ee, mm, em = two_field_energy(sources, ms, units)
     positions = np.stack([s.position for s in sources])
     ee_ref = _coulomb_pair_sum(positions, np.asarray([s.charges.qe for s in sources]), units.eps0)
@@ -538,9 +539,7 @@ def run_two_field_cross(cfg: ScenarioConfig, outdir: Path) -> Checks:
 def run_noether_zero(cfg: ScenarioConfig, outdir: Path) -> Checks:
     units = cfg.units
     grid, ms = cfg.modes()
-    count = cfg.get_int("sweep", "count", 10)
-    if count < 1:
-        raise ConfigError(f"[sweep] count must be at least 1, got {count}")
+    count = cfg.get_int("sweep", "count", 10, at_least=1)
     rng = np.random.default_rng(cfg.seed)
 
     worst_charge = 0.0
@@ -570,7 +569,8 @@ def run_noether_zero(cfg: ScenarioConfig, outdir: Path) -> Checks:
     limit = cfg.get_float("checks", "max_residual", 1e-10)
     checks.below("noether_charge_rel", worst_charge, limit)
     checks.below("noether_current_rel", worst_current, limit)
-    checks.above("violating_charge_rel", violating, cfg.get_float("checks", "min_violating", 1e-3))
+    checks.above("violating_charge_rel", violating,
+                 cfg.get_float("checks", "min_violating", 1e-3, above=0))
     return checks
 
 
@@ -584,10 +584,8 @@ def run_helicity_conservation(cfg: ScenarioConfig, outdir: Path) -> Checks:
     a[:, 2] = rng.normal(size=ms.n_modes) + 1j * rng.normal(size=ms.n_modes)
     amp = ModeAmplitudeSet(ms, a)
 
-    t_final = cfg.get_float("evolution", "t_final", 4.0)
-    samples = cfg.get_int("evolution", "samples", 9)
-    if samples < 2:
-        raise ConfigError(f"[evolution] samples must be at least 2 to measure a drift, got {samples}")
+    t_final = cfg.get_float("evolution", "t_final", 4.0, above=0)
+    samples = cfg.get_int("evolution", "samples", 9, at_least=2)
     times = np.linspace(0.0, t_final, samples)
     helicities = []
     spins = []
@@ -625,19 +623,16 @@ def run_monopole_flyby(cfg: ScenarioConfig, outdir: Path) -> Checks:
     velocity = cfg.get_vector("particle", "velocity", [0.05, 0.0, 0.0])
     qe = cfg.get_float("particle", "qe", 1.0)
     qm = cfg.get_float("particle", "qm", 0.0)
-    mass = cfg.get_float("particle", "mass", 1.0)
-    dt, steps = cfg.time_steps(0.05, 1600)
-    for name, value in (("[monopole] qm", monopole_qm), ("[monopole] position", monopole_pos),
-                        ("[particle] position", position), ("[particle] velocity", velocity)):
-        if not np.all(np.isfinite(value)):
-            raise ConfigError(f"{name} must be finite, got {value}")
+    mass = cfg.get_float("particle", "mass", 1.0, above=0)
+    dt = cfg.get_float("evolution", "dt", 0.05, above=0)
+    steps = cfg.get_int("evolution", "steps", 1600, at_least=1)
 
     sampler = MonopoleSampler(monopole_qm, monopole_pos, units)
     try:
         particle = ParticleState(position, velocity, ChargePair(qe, qm), mass)
         normal = plane_normal(particle.position - sampler.center, particle.velocity)
     except ValueError as exc:
-        raise ConfigError(f"[particle] {exc}") from exc
+        raise ConfigError(f"[particle] velocity and position: {exc}") from exc
 
     checks = Checks()
     ratios = {}
@@ -651,7 +646,7 @@ def run_monopole_flyby(cfg: ScenarioConfig, outdir: Path) -> Checks:
         checks.record(f"{model}_termination", trajectory.termination or "completed")
         checks.record(f"{model}_in_plane_span", span)
     checks.above("classical_out_of_plane_ratio", ratios["classical"],
-                 cfg.get_float("checks", "min_classical_ratio", 1e-2))
+                 cfg.get_float("checks", "min_classical_ratio", 1e-2, above=0))
     checks.below("quantum_out_of_plane_ratio", ratios["quantum"],
                  cfg.get_float("checks", "max_quantum_ratio", 1e-8))
     return checks
@@ -675,6 +670,9 @@ def run_scenario(cfg: ScenarioConfig, outdir: Path) -> tuple[dict, bool]:
         )
     outdir.mkdir(parents=True, exist_ok=True)
     checks = SCENARIOS[cfg.name](cfg, outdir)
+    unread = cfg.unread()
+    if unread:
+        raise ConfigError(f"{cfg.name} reads no {', '.join(unread)}")
     summary = dict(checks.summary)
     summary["scenario"] = cfg.name
     summary["seed"] = cfg.seed

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dualfield import cli
+from dualfield.dualcore import UnitSystem
 
 BASE = {
     "rotation": """
@@ -97,6 +98,21 @@ def read_summary(outdir):
     return dict(line.split("=", 1) for line in lines)
 
 
+def run_with(tmp_path, key, override):
+    """Run ``BASE[key]`` with one ``section.key=value`` override, or with the
+    flag and value in ``override`` when it starts with ``--``."""
+    extra = override.split() if override.startswith("--") else ["--override", override]
+    return cli.main(["run", write_cfg(tmp_path, BASE[key]), "--out", str(tmp_path / "out")] + extra)
+
+
+def named_key(override):
+    """``[section] key`` of an override (``--seed`` sets ``[scenario] seed``)."""
+    if override.startswith("--seed"):
+        return "[scenario] seed"
+    section, key = override.split("=", 1)[0].rsplit(".", 1)
+    return f"[{section}] {key}"
+
+
 @pytest.mark.parametrize("key", sorted(BASE))
 def test_each_scenario_passes(tmp_path, key):
     cfg = write_cfg(tmp_path, BASE[key])
@@ -175,6 +191,26 @@ def test_noether_violating_config_clears_its_floor(tmp_path, seed):
     out = tmp_path / "out"
     assert cli.main(["run", cfg, "--out", str(out), "--seed", str(seed)]) == 0
     assert float(read_summary(out)["violating_charge_rel"]) >= 1e-3
+
+
+@pytest.mark.parametrize("count", [101, 2049])
+def test_rotation_sweep_covers_exactly_count_inputs(monkeypatch, count):
+    # count is not a multiple of the batch count (2 and 40 batches)
+    swept = {"fields": 0, "charges": 0}
+    inverse, angle = cli.inverse_rotate_fields, cli.asymmetrizing_angle
+
+    def counting_inverse(fields, theta, units):
+        swept["fields"] += fields.E.shape[1]
+        return inverse(fields, theta, units)
+
+    def counting_angle(charges, units):
+        swept["charges"] += 1
+        return angle(charges, units)
+
+    monkeypatch.setattr(cli, "inverse_rotate_fields", counting_inverse)
+    monkeypatch.setattr(cli, "asymmetrizing_angle", counting_angle)
+    cli.rotation_property_residuals(count, 0, UnitSystem.natural())
+    assert swept == {"fields": count, "charges": count}
 
 
 def test_override_flag_reaches_the_scenario(tmp_path):
@@ -257,13 +293,31 @@ def test_failed_check_exits_three(tmp_path):
         ("flyby", "particle.mass=0", 1),
         ("flyby", "particle.velocity=0", 1),
         ("flyby", "units.c=nan", 1),
+        ("helicity", "modes.kmaxx=3", 1),
+        ("helicity", "bogus.key=1", 1),
+        ("coulomb", "source.1.sigmaa=0.3", 1),
+        ("helicity", "evolution.t_final=nan", 1),
+        ("helicity", "rotation.theta=nan", 1),
+        ("coulomb", "rotation.theta=nan", 1),
+        ("coulomb", "modes.dk_r=0", 1),
+        ("coulomb", "modes.dk_r=-1", 1),
+        ("coulomb", "modes.dk_r=nan", 1),
+        ("coulomb", "modes.kmax_sigma=nan", 1),
+        ("cross", "modes.dk_r=0", 1),
+        ("cross", "modes.dk_r=-1", 1),
+        ("cross", "modes.dk_r=nan", 1),
+        ("cross", "modes.kmax_sigma=nan", 1),
+        ("rotation", "--seed -1", 1),
+        ("coulomb", "checks.max_rel=nan", 1),
     ],
 )
 def test_invalid_inputs_exit_with_their_code_not_a_traceback(tmp_path, capsys, key, override, code):
-    cfg = write_cfg(tmp_path, BASE[key])
-    out = tmp_path / "out"
-    assert cli.main(["run", cfg, "--out", str(out), "--override", override]) == code
-    assert "Traceback" not in capsys.readouterr().err
+    assert run_with(tmp_path, key, override) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 1:
+        assert named_key(override) in err
+        assert not (tmp_path / "out" / "summary.txt").exists()
 
 
 @pytest.mark.parametrize(
@@ -282,11 +336,39 @@ def test_invalid_inputs_exit_with_their_code_not_a_traceback(tmp_path, capsys, k
         ("flyby", "evolution.steps=0"),
         ("flyby", "monopole.qm=nan"),
         ("rotation", "sweep.count=0"),
+        ("helicity", "evolution.t_final=0"),
+        ("coulomb", "modes.kmax_sigma=0"),
+        ("cross", "modes.kmax_sigma=0"),
+        ("helicity", "checks.max_drift=inf"),
+        ("coulomb", "checks.max_rel=inf"),
+        ("noether", "checks.min_violating=0"),
+        ("flyby", "checks.min_classical_ratio=0"),
     ],
 )
-@pytest.mark.filterwarnings("error")
-def test_configs_that_measure_nothing_exit_one(tmp_path, key, override):
-    cfg = write_cfg(tmp_path, BASE[key])
-    out = tmp_path / "out"
-    assert cli.main(["run", cfg, "--out", str(out), "--override", override]) == 1
-    assert not (out / "summary.txt").exists()
+def test_configs_that_measure_nothing_exit_one(tmp_path, capsys, key, override):
+    assert run_with(tmp_path, key, override) == 1
+    assert named_key(override) in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.txt").exists()
+
+
+def test_a_key_read_under_another_case_counts_as_read(tmp_path):
+    # configparser folds keys to lower case; the getters ask for "L"
+    assert run_with(tmp_path, "covariance", "grid.L=6.283185307179586") == 0
+
+
+MISSPELT = {
+    "rotation": "sweep.countx=1",
+    "covariance": "evolution.stepsx=1",
+    "coulomb": "source.2.qex=1",
+    "cross": "modes.dk_rx=1",
+    "noether": "sweep.countx=1",
+    "helicity": "evolution.t_finalx=1",
+    "flyby": "particle.massx=1",
+}
+
+
+@pytest.mark.parametrize("key", sorted(MISSPELT))
+def test_a_misspelt_key_exits_one_in_every_scenario(tmp_path, capsys, key):
+    assert run_with(tmp_path, key, MISSPELT[key]) == 1
+    assert named_key(MISSPELT[key]) in capsys.readouterr().err
+    assert not (tmp_path / "out" / "summary.txt").exists()
