@@ -9,8 +9,10 @@ its limit) to ``summary.txt`` as sorted ``key=value`` lines, and exits 0
 when all checks pass.  Exit codes: 0 success, 1 usage or configuration
 error (including a value that is not finite or out of range and a given key
 the scenario never reads), 2 precondition violation (for example an
-unstable time step), 3 a residual check failed.  Identical configuration
-and seed produce byte-identical outputs.
+unstable time step), 3 a residual check failed.  Each scenario reads and
+checks every key before it computes or writes anything, so exit 1 leaves no
+output file.  Identical configuration and seed produce byte-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -109,10 +111,13 @@ class ScenarioConfig:
             return self.parser.get(section, key)
         return None
 
-    def unread(self) -> list[str]:
-        """``[section] key`` for every given key that no getter has asked for."""
-        return [f"[{section}] {key}" for section in self.parser.sections()
-                for key in self.parser[section] if (section, key) not in self._read]
+    def check_all_read(self) -> None:
+        """Raise ``ConfigError`` naming every given key that no getter has
+        asked for; each runner calls it after its last read, before any work."""
+        unread = [f"[{section}] {key}" for section in self.parser.sections()
+                  for key in self.parser[section] if (section, key) not in self._read]
+        if unread:
+            raise ConfigError(f"{self.name} reads no {', '.join(unread)}")
 
     @staticmethod
     def _check(section: str, key: str, raw: str, values, above=None, at_least=None) -> None:
@@ -421,7 +426,8 @@ def rotation_property_residuals(count: int, seed: int, units: UnitSystem) -> dic
 
 def run_rotation_properties(cfg: ScenarioConfig, outdir: Path) -> Checks:
     count = cfg.get_int("sweep", "count", 2000, at_least=1)
-    limit = cfg.get_float("checks", "max_residual", 1e-12)
+    limit = cfg.get_float("checks", "max_residual", 1e-12, at_least=0)
+    cfg.check_all_read()
     residuals = rotation_property_residuals(count, cfg.seed, cfg.units)
     checks = Checks()
     checks.record("sweep_count", count)
@@ -433,10 +439,16 @@ def run_rotation_properties(cfg: ScenarioConfig, outdir: Path) -> Checks:
 def run_dual_covariance(cfg: ScenarioConfig, outdir: Path) -> Checks:
     units = cfg.units
     grid = cfg.grid()
-    rng = np.random.default_rng(cfg.seed)
-    h_max = max(grid.spacing)
-    sources = cfg.sources(sigma_fallback=3.0 * h_max)
-    fields = random_wave_fields(grid, units, rng)
+    sources = cfg.sources(sigma_fallback=3.0 * max(grid.spacing))
+    dt = cfg.get_float("evolution", "dt", 0.005, above=0)
+    steps = cfg.get_int("evolution", "steps", 100, at_least=1)
+    limit = cfg.get_float("checks", "max_residual", 1e-10, at_least=0)
+    max_gauss = cfg.get_float("checks", "max_gauss_residual", 1e-8, at_least=0)
+    require_shared = cfg.get_bool("checks", "require_shared_ratio", True)
+    thetas = cfg.thetas()
+    cfg.check_all_read()
+
+    fields = random_wave_fields(grid, units, np.random.default_rng(cfg.seed))
     if sources:
         # start from a Gauss-consistent state: waves plus longitudinal parts
         rho_e, rho_m, _, _ = deposit_sources(sources, grid)
@@ -444,12 +456,6 @@ def run_dual_covariance(cfg: ScenarioConfig, outdir: Path) -> Checks:
         B_long = coulomb_field_from_density(rho_m, 1.0)
         fields = FieldVecPair(fields.E + E_long.data, fields.B + B_long.data)
     state = EMState(0.0, grid, fields, sources)
-    dt = cfg.get_float("evolution", "dt", 0.005, above=0)
-    steps = cfg.get_int("evolution", "steps", 100, at_least=1)
-    limit = cfg.get_float("checks", "max_residual", 1e-10)
-    require_shared = cfg.get_bool("checks", "require_shared_ratio", True)
-    thetas = cfg.thetas()
-
     checks = Checks()
     for theta in thetas:
         residual = dual_covariance_residual(
@@ -458,7 +464,6 @@ def run_dual_covariance(cfg: ScenarioConfig, outdir: Path) -> Checks:
         checks.below(f"covariance_residual_theta_{theta!r}", residual, limit)
     evolved = step_symmetric_maxwell(state, dt, units, steps)
     rE, rB = gauss_residuals(evolved, units)
-    max_gauss = cfg.get_float("checks", "max_gauss_residual", 1e-8)
     checks.below("gauss_residual_E", float(rE), max_gauss)
     checks.below("gauss_residual_B", float(rB), max_gauss)
     e0, e1 = field_energy(state, units), field_energy(evolved, units)
@@ -496,6 +501,8 @@ def run_coulomb_equivalence(cfg: ScenarioConfig, outdir: Path) -> Checks:
         theta = asymmetrizing_angle(reference.charges, units).theta
     else:
         theta = cfg.get_float("rotation", "theta", 0.0)
+    max_rel = cfg.get_float("checks", "max_rel", 0.01, at_least=0)
+    cfg.check_all_read()
     e_real = coulomb_energy_real(sources, units)
     e_mode = symmetric_charge_energy(sources, theta, ms, units)
     rel = abs(e_mode - e_real) / max(abs(e_real), 1e-300)
@@ -505,13 +512,16 @@ def run_coulomb_equivalence(cfg: ScenarioConfig, outdir: Path) -> Checks:
     checks.record("energy_mode", float(e_mode))
     checks.record("lattice_dk", ms.dk[0])
     checks.record("lattice_kmax", float(ms.kmax))
-    checks.below("coulomb_rel_difference", rel, cfg.get_float("checks", "max_rel", 0.01))
+    checks.below("coulomb_rel_difference", rel, max_rel)
     return checks
 
 
 def run_two_field_cross(cfg: ScenarioConfig, outdir: Path) -> Checks:
     units = cfg.units
     sources, ms = cfg.lattice()
+    max_rel = cfg.get_float("checks", "max_rel", 0.01, at_least=0)
+    max_em = cfg.get_float("checks", "max_em", 0.0, at_least=0)
+    cfg.check_all_read()
     ee, mm, em = two_field_energy(sources, ms, units)
     positions = np.stack([s.position for s in sources])
     ee_ref = _coulomb_pair_sum(positions, np.asarray([s.charges.qe for s in sources]), units.eps0)
@@ -529,8 +539,7 @@ def run_two_field_cross(cfg: ScenarioConfig, outdir: Path) -> Checks:
     checks.record("energy_mm", float(mm))
     checks.record("energy_ee_reference", float(ee_ref))
     checks.record("energy_mm_reference", float(mm_ref))
-    max_rel = cfg.get_float("checks", "max_rel", 0.01)
-    checks.below("cross_term", abs(em), cfg.get_float("checks", "max_em", 0.0))
+    checks.below("cross_term", abs(em), max_em)
     checks.below("ee_rel_difference", rel(ee, ee_ref), max_rel)
     checks.below("mm_rel_difference", rel(mm, mm_ref), max_rel)
     return checks
@@ -540,6 +549,9 @@ def run_noether_zero(cfg: ScenarioConfig, outdir: Path) -> Checks:
     units = cfg.units
     grid, ms = cfg.modes()
     count = cfg.get_int("sweep", "count", 10, at_least=1)
+    limit = cfg.get_float("checks", "max_residual", 1e-10, at_least=0)
+    min_violating = cfg.get_float("checks", "min_violating", 1e-3, above=0)
+    cfg.check_all_read()
     rng = np.random.default_rng(cfg.seed)
 
     worst_charge = 0.0
@@ -566,26 +578,26 @@ def run_noether_zero(cfg: ScenarioConfig, outdir: Path) -> Checks:
     checks = Checks()
     checks.record("config_count", count)
     checks.record("mode_count", ms.n_modes)
-    limit = cfg.get_float("checks", "max_residual", 1e-10)
     checks.below("noether_charge_rel", worst_charge, limit)
     checks.below("noether_current_rel", worst_current, limit)
-    checks.above("violating_charge_rel", violating,
-                 cfg.get_float("checks", "min_violating", 1e-3, above=0))
+    checks.above("violating_charge_rel", violating, min_violating)
     return checks
 
 
 def run_helicity_conservation(cfg: ScenarioConfig, outdir: Path) -> Checks:
     units = cfg.units
     grid, ms = cfg.modes()
-    rng = np.random.default_rng(cfg.seed)
     theta = cfg.get_float("rotation", "theta", 0.6)
+    t_final = cfg.get_float("evolution", "t_final", 4.0, above=0)
+    samples = cfg.get_int("evolution", "samples", 9, at_least=2)
+    max_drift = cfg.get_float("checks", "max_drift", 1e-10, at_least=0)
+    cfg.check_all_read()
+
+    rng = np.random.default_rng(cfg.seed)
     a = np.zeros((ms.n_modes, 4), dtype=complex)
     a[:, 1] = rng.normal(size=ms.n_modes) + 1j * rng.normal(size=ms.n_modes)
     a[:, 2] = rng.normal(size=ms.n_modes) + 1j * rng.normal(size=ms.n_modes)
     amp = ModeAmplitudeSet(ms, a)
-
-    t_final = cfg.get_float("evolution", "t_final", 4.0, above=0)
-    samples = cfg.get_int("evolution", "samples", 9, at_least=2)
     times = np.linspace(0.0, t_final, samples)
     helicities = []
     spins = []
@@ -611,7 +623,7 @@ def run_helicity_conservation(cfg: ScenarioConfig, outdir: Path) -> Checks:
     checks = Checks()
     checks.record("mode_count", ms.n_modes)
     checks.record("helicity_initial", float(helicities[0]))
-    checks.below("helicity_drift", drift, cfg.get_float("checks", "max_drift", 1e-10))
+    checks.below("helicity_drift", drift, max_drift)
     return checks
 
 
@@ -626,6 +638,9 @@ def run_monopole_flyby(cfg: ScenarioConfig, outdir: Path) -> Checks:
     mass = cfg.get_float("particle", "mass", 1.0, above=0)
     dt = cfg.get_float("evolution", "dt", 0.05, above=0)
     steps = cfg.get_int("evolution", "steps", 1600, at_least=1)
+    min_classical = cfg.get_float("checks", "min_classical_ratio", 1e-2, above=0)
+    max_quantum = cfg.get_float("checks", "max_quantum_ratio", 1e-8, at_least=0)
+    cfg.check_all_read()
 
     sampler = MonopoleSampler(monopole_qm, monopole_pos, units)
     try:
@@ -645,10 +660,8 @@ def run_monopole_flyby(cfg: ScenarioConfig, outdir: Path) -> Checks:
         checks.record(f"{model}_steps", len(trajectory) - 1)
         checks.record(f"{model}_termination", trajectory.termination or "completed")
         checks.record(f"{model}_in_plane_span", span)
-    checks.above("classical_out_of_plane_ratio", ratios["classical"],
-                 cfg.get_float("checks", "min_classical_ratio", 1e-2, above=0))
-    checks.below("quantum_out_of_plane_ratio", ratios["quantum"],
-                 cfg.get_float("checks", "max_quantum_ratio", 1e-8))
+    checks.above("classical_out_of_plane_ratio", ratios["classical"], min_classical)
+    checks.below("quantum_out_of_plane_ratio", ratios["quantum"], max_quantum)
     return checks
 
 
@@ -670,9 +683,6 @@ def run_scenario(cfg: ScenarioConfig, outdir: Path) -> tuple[dict, bool]:
         )
     outdir.mkdir(parents=True, exist_ok=True)
     checks = SCENARIOS[cfg.name](cfg, outdir)
-    unread = cfg.unread()
-    if unread:
-        raise ConfigError(f"{cfg.name} reads no {', '.join(unread)}")
     summary = dict(checks.summary)
     summary["scenario"] = cfg.name
     summary["seed"] = cfg.seed

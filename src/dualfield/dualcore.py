@@ -280,23 +280,6 @@ def asymmetrizing_angle(charges: ChargePair, units: UnitSystem) -> DualAngle:
     return DualAngle(math.atan2(units.c * units.eps0 * qm, qe))
 
 
-def subsidiary_residual(potentials: PotentialPair, theta: DualAngle | float, units: UnitSystem) -> float:
-    """Scale-free violation of the one-field constraint C cos(t) = c A sin(t).
-
-    Returns max|C cos - cA sin| normalized by max(max|C|, max|cA|); zero
-    potentials give zero residual.
-    """
-    t = _angle(theta)
-    _require_finite("A", potentials.A)
-    _require_finite("C", potentials.C)
-    cA = units.c * potentials.A
-    scale = max(np.max(np.abs(potentials.C)), np.max(np.abs(cA)), 0.0)
-    if scale == 0.0:
-        return 0.0
-    residual = np.max(np.abs(potentials.C * math.cos(t) - cA * math.sin(t)))
-    return float(residual / scale)
-
-
 def field_quadratic_form(fields: FieldVecPair, units: UnitSystem) -> float:
     """Rotation-invariant energy-like form eps0 |E|^2 + |B|^2 / mu0, summed."""
     return float(units.eps0 * np.sum(fields.E**2) + np.sum(fields.B**2) / units.mu0)

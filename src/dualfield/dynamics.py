@@ -11,9 +11,8 @@ field parts only:
     F = qe (E + v x B_T) + c eps0 qm (c B - v x E_T / c)
 
 Samplers provide both the full and the transverse field sample at a point;
-analytic samplers declare the split exactly, grid samplers compute it
-spectrally once.  The pusher is nonrelativistic, so particle speeds are
-guarded at a tenth of c.
+each is an analytic field that declares the split exactly.  The pusher is
+nonrelativistic, so particle speeds are guarded at a tenth of c.
 """
 
 from __future__ import annotations
@@ -24,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dualcore import ChargePair, FieldVecPair, UnitSystem
-from .errors import DecompositionMismatchError, DegeneratePlaneError
-from .fields import Grid3, helmholtz_decompose, point_electric_field, point_magnetic_field, \
-    tricubic_sample_vector, VectorField
+from .errors import DegeneratePlaneError
+from .fields import point_magnetic_field
 
 SPEED_GUARD_FRACTION = 0.1
 
@@ -46,10 +44,6 @@ class ParticleState:
         self.mass = float(self.mass)
         if not (math.isfinite(self.mass) and self.mass > 0):
             raise ValueError(f"mass must be positive, got {self.mass}")
-
-    @property
-    def momentum(self) -> np.ndarray:
-        return self.mass * self.velocity
 
 
 def classical_lorentz_force(
@@ -72,28 +66,13 @@ def quantum_lorentz_force(
     """Quantum force; velocity-cross terms see transverse fields only.
 
     Whether ``transverse`` really is the transverse part of ``full`` is a
-    nonlocal statement, so point samples are taken on trust here; grid-level
-    inputs are validated in ``GridFieldSampler``.
+    nonlocal statement, so point samples are taken on trust here.
     """
     v = particle.velocity
     c, eps0 = units.c, units.eps0
     qe, qm = particle.charges.qe, particle.charges.qm
     return qe * (full.E + np.cross(v, transverse.B)) + c * eps0 * qm * (
         c * full.B - np.cross(v, transverse.E) / c
-    )
-
-
-def canonical_momentum(
-    particle: ParticleState,
-    A_perp: np.ndarray,
-    C_perp: np.ndarray,
-    units: UnitSystem,
-) -> np.ndarray:
-    """Canonical momentum p + qe A_T + eps0 qm C_T of the two-charge theory."""
-    return (
-        particle.momentum
-        + particle.charges.qe * np.asarray(A_perp, dtype=float)
-        + units.eps0 * particle.charges.qm * np.asarray(C_perp, dtype=float)
     )
 
 
@@ -141,76 +120,6 @@ class MonopoleSampler:
 
     def in_domain(self, x: np.ndarray) -> bool:
         return float(np.linalg.norm(np.asarray(x, float) - self.center)) > self.r_min
-
-
-class PointChargeSampler:
-    """Static point electric charge: a radial E field, exactly longitudinal."""
-
-    def __init__(self, qe: float, center: np.ndarray, units: UnitSystem, r_min: float = 1e-6):
-        self.qe = float(qe)
-        self.center = np.asarray(center, dtype=float).reshape(3)
-        self.units = units
-        self.r_min = float(r_min)
-
-    def sample(self, x: np.ndarray, t: float) -> tuple[FieldVecPair, FieldVecPair]:
-        E = point_electric_field(self.qe, x - self.center, self.units)
-        full = FieldVecPair(E, np.zeros(3))
-        trans = FieldVecPair(np.zeros(3), np.zeros(3))
-        return full, trans
-
-    def in_domain(self, x: np.ndarray) -> bool:
-        return float(np.linalg.norm(np.asarray(x, float) - self.center)) > self.r_min
-
-
-class GridFieldSampler:
-    """Static gridded fields with a spectrally computed transverse split.
-
-    If explicit transverse parts are supplied they are checked against the
-    spectral decomposition of the full fields; a relative defect above
-    ``1e-8`` raises ``DecompositionMismatchError``.  Interpolation is
-    periodic tricubic.
-    """
-
-    def __init__(
-        self,
-        grid: Grid3,
-        fields: FieldVecPair,
-        units: UnitSystem,
-        transverse: FieldVecPair | None = None,
-    ) -> None:
-        self.grid = grid
-        self.units = units
-        self._E = np.asarray(fields.E, dtype=float)
-        self._B = np.asarray(fields.B, dtype=float)
-        E_T, _ = helmholtz_decompose(VectorField(grid, self._E))
-        B_T, _ = helmholtz_decompose(VectorField(grid, self._B))
-        if transverse is not None:
-            for name, given, computed in (
-                ("E", np.asarray(transverse.E, float), E_T.data),
-                ("B", np.asarray(transverse.B, float), B_T.data),
-            ):
-                scale = math.sqrt(float(np.sum(computed**2)))
-                defect = math.sqrt(float(np.sum((given - computed) ** 2)))
-                if defect > 1e-8 * max(scale, 1.0):
-                    raise DecompositionMismatchError(
-                        f"claimed transverse {name} differs from the spectral decomposition"
-                    )
-        self._E_T = E_T.data
-        self._B_T = B_T.data
-
-    def sample(self, x: np.ndarray, t: float) -> tuple[FieldVecPair, FieldVecPair]:
-        full = FieldVecPair(
-            tricubic_sample_vector(self._E, self.grid, x),
-            tricubic_sample_vector(self._B, self.grid, x),
-        )
-        trans = FieldVecPair(
-            tricubic_sample_vector(self._E_T, self.grid, x),
-            tricubic_sample_vector(self._B_T, self.grid, x),
-        )
-        return full, trans
-
-    def in_domain(self, x: np.ndarray) -> bool:
-        return True
 
 
 @dataclass

@@ -71,6 +71,3 @@ class AliasingError(PreconditionError):
 class NotTransverseError(PreconditionError):
     """A field passed as transverse has a longitudinal component."""
 
-
-class DecompositionMismatchError(PreconditionError):
-    """Claimed transverse parts are not the transverse parts of the fields."""

@@ -359,15 +359,6 @@ def helmholtz_decompose(field: VectorField) -> tuple[VectorField, VectorField]:
     return VectorField(grid, _to_grid(trans_hat)), VectorField(grid, _to_grid(long_hat))
 
 
-def transverse_fraction(field: VectorField) -> float:
-    """L2 fraction of the field that is transverse (0 for a zero field)."""
-    total = field.l2norm()
-    if total == 0.0:
-        return 0.0
-    transverse, _ = helmholtz_decompose(field)
-    return transverse.l2norm() / total
-
-
 def longitudinal_fraction(field: VectorField) -> float:
     """L2 fraction of the field that is longitudinal (0 for a zero field)."""
     total = field.l2norm()
@@ -393,15 +384,6 @@ def coulomb_field_from_density(density: ScalarField, prefactor: float) -> Vector
     return VectorField(grid, _to_grid(-1j * prefactor * k * phi))
 
 
-def point_electric_field(qe: float, offset: np.ndarray, units: UnitSystem) -> np.ndarray:
-    """Coulomb field of a point electric charge at displacement ``offset``."""
-    r = np.asarray(offset, dtype=float).reshape(3)
-    dist = float(np.linalg.norm(r))
-    if dist == 0.0:
-        raise SingularFieldPointError("electric point field evaluated at the charge position")
-    return qe * r / (4.0 * math.pi * units.eps0 * dist**3)
-
-
 def point_magnetic_field(qm: float, offset: np.ndarray, units: UnitSystem) -> np.ndarray:
     """Radial field of a point magnetic charge; div B = rho_m carries no eps0."""
     r = np.asarray(offset, dtype=float).reshape(3)
@@ -409,37 +391,6 @@ def point_magnetic_field(qm: float, offset: np.ndarray, units: UnitSystem) -> np
     if dist == 0.0:
         raise SingularFieldPointError("magnetic point field evaluated at the charge position")
     return qm * r / (4.0 * math.pi * dist**3)
-
-
-_CR = np.array(
-    [
-        [0.0, -0.5, 1.0, -0.5],
-        [1.0, 0.0, -2.5, 1.5],
-        [0.0, 0.5, 2.0, -1.5],
-        [0.0, 0.0, -0.5, 0.5],
-    ]
-)
-
-
-def _cr_weights(f: float) -> np.ndarray:
-    powers = np.array([1.0, f, f * f, f * f * f])
-    return _CR @ powers
-
-
-def tricubic_sample_vector(data: np.ndarray, grid: Grid3, x: np.ndarray) -> np.ndarray:
-    """Periodic Catmull-Rom tricubic sample of a (3, nx, ny, nz) array at x."""
-    x = np.asarray(x, dtype=float).reshape(3)
-    idx = []
-    weights = []
-    for axis in range(3):
-        u = x[axis] / grid.spacing[axis]
-        i0 = math.floor(u)
-        f = u - i0
-        idx.append((i0 + np.arange(-1, 3)) % grid.n[axis])
-        weights.append(_cr_weights(f))
-    cube = data[:, idx[0][:, None, None], idx[1][None, :, None], idx[2][None, None, :]]
-    wx, wy, wz = weights
-    return np.einsum("cijk,i,j,k->c", cube, wx, wy, wz)
 
 
 def save_field(path, field: ScalarField | VectorField) -> None:

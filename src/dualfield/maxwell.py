@@ -63,21 +63,6 @@ class EMState:
         self.sources = list(self.sources)
 
 
-def zero_state(grid: Grid3, sources: list[PointSource] | None = None, t: float = 0.0) -> EMState:
-    shape = (3,) + grid.shape
-    return EMState(t, grid, FieldVecPair(np.zeros(shape), np.zeros(shape)), sources or [])
-
-
-def superpose(a: EMState, b: EMState) -> EMState:
-    """Sum of two states on the same grid at the same time; sources concatenate."""
-    if a.grid != b.grid:
-        raise GridMismatchError("cannot superpose states on different grids")
-    if a.t != b.t:
-        raise ValueError(f"cannot superpose states at different times {a.t} vs {b.t}")
-    return EMState(a.t, a.grid, FieldVecPair(a.fields.E + b.fields.E, a.fields.B + b.fields.B),
-                   a.sources + b.sources)
-
-
 def cfl_limit(grid: Grid3, units: UnitSystem) -> float:
     return 0.5 * min(grid.spacing) / units.c
 

@@ -76,11 +76,12 @@ _NEAR = 6  # cells with |n|_inf <= _NEAR get exact Gauss-integrated weights
 
 @dataclass(frozen=True, eq=False)
 class ModeSet:
-    """A set of wavevectors, either materialized or an implicit lattice.
+    """A set of wavevectors, either an explicit list or an implicit lattice.
 
     ``kvecs`` of shape (N, 3) lists explicit modes (k = 0 excluded); when it
     is None the set stands for the full cubic lattice of spacing ``dk``
-    inside ``|k| <= kmax``, which energy sums iterate without materializing.
+    inside ``|k| <= kmax``; only the charge energy sums accept it, and they
+    iterate it without listing its modes.
     """
 
     dk: tuple[float, float, float]
@@ -136,7 +137,7 @@ class ModeSet:
     @property
     def n_modes(self) -> int:
         if self.kvecs is None:
-            raise ValueError("implicit lattice; call materialize() first")
+            raise ValueError("an implicit lattice has no mode list")
         return self.kvecs.shape[0]
 
     @property
@@ -147,22 +148,6 @@ class ModeSet:
     def box_volume(self) -> float:
         """Periodic volume represented by the lattice: (2 pi)^3 / mode_volume."""
         return (2.0 * math.pi) ** 3 / self.mode_volume
-
-    def materialize(self, max_modes: int = 2_000_000) -> "ModeSet":
-        """Explicit version of an implicit lattice (small cutoffs only)."""
-        if self.kvecs is not None:
-            return self
-        dk = self.dk[0]
-        nmax = int(math.floor(self.kmax / dk))
-        count_bound = (2 * nmax + 1) ** 3
-        if count_bound > max_modes:
-            raise ValueError(f"lattice would materialize up to {count_bound} modes")
-        idx = np.arange(-nmax, nmax + 1)
-        nx, ny, nz = np.meshgrid(idx, idx, idx, indexing="ij")
-        k = dk * np.stack([nx.ravel(), ny.ravel(), nz.ravel()], axis=1).astype(float)
-        norms = np.linalg.norm(k, axis=1)
-        keep = (norms > 0.0) & (norms <= self.kmax)
-        return ModeSet(dk=self.dk, kmax=self.kmax, kvecs=k[keep])
 
     def omega(self, units: UnitSystem) -> np.ndarray:
         return units.c * np.linalg.norm(self.kvecs, axis=1)
@@ -404,67 +389,7 @@ def two_field_energy(
     return ee, mm, 0.0
 
 
-# --- Fourier source data and the subsidiary (Gupta-Bleuler style) condition ---
-
-
-@dataclass
-class ChargeFourier:
-    """Fourier data of smeared sources on a materialized mode set.
-
-    ``rho_e``/``rho_m`` follow the symmetric convention
-    rho(k) = (2 pi)^(-3/2) sum_j q_j exp(-i k.x_j) exp(-k^2 sigma_j^2 / 2).
-    ``xi_e``/``xi_m`` are the four-vector source strengths entering the
-    subsidiary condition, built from the four-currents (c rho, j):
-
-        xi_e^mu(k) = N_k / (hbar omega_k) * J_e^mu(k)
-        xi_m^mu(k) = c eps0 N_k / (hbar omega_k) * J_m^mu(k)
-
-    with J^mu(k) the plain Fourier integral (no (2 pi) factors) and N_k the
-    per-mode normalization of the represented box volume.
-    """
-
-    modes: ModeSet
-    rho_e: np.ndarray
-    rho_m: np.ndarray
-    xi_e: np.ndarray
-    xi_m: np.ndarray
-
-
-def charge_fourier(
-    sources: list[PointSource], ms: ModeSet, units: UnitSystem, hbar: float = 1.0
-) -> ChargeFourier:
-    """Fourier transforms and subsidiary source strengths of the sources."""
-    if ms.is_lattice:
-        raise ValueError("charge_fourier needs a materialized ModeSet")
-    k = ms.kvecs
-    n = ms.n_modes
-    rho_e = np.zeros(n, dtype=complex)
-    rho_m = np.zeros(n, dtype=complex)
-    j_e = np.zeros((n, 3), dtype=complex)
-    j_m = np.zeros((n, 3), dtype=complex)
-    for s in sources:
-        phase = np.exp(-1j * (k @ s.position) - 0.5 * np.sum(k**2, axis=1) * s.sigma**2)
-        rho_e += s.charges.qe * phase
-        rho_m += s.charges.qm * phase
-        j_e += s.charges.qe * np.outer(phase, s.velocity)
-        j_m += s.charges.qm * np.outer(phase, s.velocity)
-    omega = ms.omega(units)
-    N_k = np.sqrt(hbar / (2.0 * units.eps0 * omega * ms.box_volume))
-    coeff = N_k / (hbar * omega)
-    c = units.c
-    xi_e = np.concatenate([(c * rho_e)[:, None], j_e], axis=1) * coeff[:, None]
-    xi_m = (
-        np.concatenate([(c * rho_m)[:, None], j_m], axis=1)
-        * (c * units.eps0 * coeff)[:, None]
-    )
-    norm = (2.0 * math.pi) ** -1.5
-    return ChargeFourier(
-        modes=ms,
-        rho_e=norm * rho_e,
-        rho_m=norm * rho_m,
-        xi_e=xi_e,
-        xi_m=xi_m,
-    )
+# --- mode amplitudes and free evolution ----------------------------------------
 
 
 @dataclass
@@ -491,56 +416,6 @@ class ModeAmplitudeSet:
     def zeros(cls, ms: ModeSet, two_field: bool = False) -> "ModeAmplitudeSet":
         shape = (ms.n_modes, 4)
         return cls(ms, np.zeros(shape, complex), np.zeros(shape, complex) if two_field else None)
-
-    def with_subsidiary_closure(self, cf: ChargeFourier, theta) -> "ModeAmplitudeSet":
-        """Copy whose scalar amplitudes satisfy the subsidiary condition.
-
-        One-field: a0 := a3 + xi_e0 cos(theta) + xi_m0 sin(theta).
-        Two-field: a0 := a3 + xi_e0 and b0 := b3 + xi_m0 (theta unused).
-        """
-        _check_same_modes(self.modes, cf.modes)
-        t = _angle(theta)
-        a = self.a.copy()
-        if self.b is None:
-            a[:, 0] = a[:, 3] + cf.xi_e[:, 0] * math.cos(t) + cf.xi_m[:, 0] * math.sin(t)
-            return ModeAmplitudeSet(self.modes, a)
-        b = self.b.copy()
-        a[:, 0] = a[:, 3] + cf.xi_e[:, 0]
-        b[:, 0] = b[:, 3] + cf.xi_m[:, 0]
-        return ModeAmplitudeSet(self.modes, a, b)
-
-
-def _check_same_modes(a: ModeSet, b: ModeSet) -> None:
-    if a is b:
-        return
-    if a.is_lattice or b.is_lattice or a.kvecs.shape != b.kvecs.shape or not np.array_equal(
-        a.kvecs, b.kvecs
-    ):
-        raise ValueError("mode sets do not match")
-
-
-def gupta_bleuler_residual(amp: ModeAmplitudeSet, cf: ChargeFourier, theta) -> float:
-    """Largest violation of the sourced scalar-longitudinal constraint.
-
-    One-field model: max_k |a3 - a0 + xi_e0 cos + xi_m0 sin|.  Two-field
-    model: the maximum over both families, a against xi_e0 and b against
-    xi_m0.
-    """
-    _check_same_modes(amp.modes, cf.modes)
-    t = _angle(theta)
-    if amp.b is None:
-        residual = (
-            amp.a[:, 3]
-            - amp.a[:, 0]
-            + cf.xi_e[:, 0] * math.cos(t)
-            + cf.xi_m[:, 0] * math.sin(t)
-        )
-        return float(np.max(np.abs(residual))) if residual.size else 0.0
-    res_a = amp.a[:, 3] - amp.a[:, 0] + cf.xi_e[:, 0]
-    res_b = amp.b[:, 3] - amp.b[:, 0] + cf.xi_m[:, 0]
-    if res_a.size == 0:
-        return 0.0
-    return float(max(np.max(np.abs(res_a)), np.max(np.abs(res_b))))
 
 
 def free_evolve_modes(amp: ModeAmplitudeSet, t: float, units: UnitSystem) -> ModeAmplitudeSet:
@@ -596,7 +471,7 @@ def synthesize_potentials(
     """
     ms = amp.modes
     if ms.is_lattice:
-        raise ValueError("synthesis needs a materialized ModeSet")
+        raise ValueError("synthesis needs an explicit ModeSet")
     if not math.isclose(ms.box_volume, grid.volume, rel_tol=1e-9):
         raise GridMismatchError(
             f"mode lattice represents volume {ms.box_volume}, grid has {grid.volume}"
@@ -729,55 +604,3 @@ def spin_observable(
     )
     return units.eps0 * np.sum(cross, axis=(1, 2, 3)) * grid.cell_volume
 
-
-def save_amplitudes(path, amp: ModeAmplitudeSet) -> None:
-    """Write amplitudes as a text table, one row per (mode, polarization)."""
-    two_field = amp.b is not None
-    with open(path, "w") as fh:
-        fh.write(f"# dk={amp.modes.dk[0]!r},{amp.modes.dk[1]!r},{amp.modes.dk[2]!r}")
-        fh.write(f" kmax={amp.modes.kmax!r} two_field={int(two_field)}\n")
-        fh.write("kx,ky,kz,lam,re_a,im_a" + (",re_b,im_b" if two_field else "") + "\n")
-        for m in range(amp.modes.n_modes):
-            for lam in range(4):
-                row = [*amp.modes.kvecs[m], lam, amp.a[m, lam].real, amp.a[m, lam].imag]
-                if two_field:
-                    row += [amp.b[m, lam].real, amp.b[m, lam].imag]
-                fh.write(",".join(repr(float(v)) if not isinstance(v, int) else str(v)
-                                  for v in row) + "\n")
-
-
-def load_amplitudes(path) -> ModeAmplitudeSet:
-    """Read a table written by ``save_amplitudes``.
-
-    Raises ``ValueError`` unless every mode has its four rows in ``lam``
-    order 0-3, each with the columns the header's ``two_field`` flag names.
-    """
-    with open(path) as fh:
-        meta = fh.readline().strip()
-        if not meta.startswith("# dk="):
-            raise ValueError("missing amplitude table metadata")
-        parts = dict(item.split("=") for item in meta[2:].split())
-        dk = tuple(float(v) for v in parts["dk"].split(","))
-        kmax = None if parts["kmax"] == "None" else float(parts["kmax"])
-        two_field = bool(int(parts["two_field"]))
-        fh.readline()  # column header
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    n, partial = divmod(len(rows), 4)
-    if partial:
-        raise ValueError(f"{len(rows)} amplitude rows do not make whole modes of 4 rows")
-    width = 8 if two_field else 6
-    kvecs = np.zeros((n, 3))
-    a = np.zeros((n, 4), dtype=complex)
-    b = np.zeros((n, 4), dtype=complex) if two_field else None
-    for i, row in enumerate(rows):
-        m, lam = divmod(i, 4)
-        if len(row) != width:
-            raise ValueError(f"amplitude row {i} has {len(row)} columns, expected {width}")
-        if int(row[3]) != lam:
-            raise ValueError(f"amplitude row {i} has lam={row[3]}, expected {lam}")
-        kvecs[m] = [float(v) for v in row[:3]]
-        a[m, lam] = complex(float(row[4]), float(row[5]))
-        if two_field:
-            b[m, lam] = complex(float(row[6]), float(row[7]))
-    ms = ModeSet(dk=dk, kmax=kmax, kvecs=kvecs)
-    return ModeAmplitudeSet(ms, a, b)

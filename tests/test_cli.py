@@ -105,6 +105,12 @@ def run_with(tmp_path, key, override):
     return cli.main(["run", write_cfg(tmp_path, BASE[key]), "--out", str(tmp_path / "out")] + extra)
 
 
+def output_files(tmp_path):
+    """Names of the files a ``run_with`` run left in its output directory."""
+    out = tmp_path / "out"
+    return sorted(p.name for p in out.iterdir()) if out.exists() else []
+
+
 def named_key(override):
     """``[section] key`` of an override (``--seed`` sets ``[scenario] seed``)."""
     if override.startswith("--seed"):
@@ -309,6 +315,9 @@ def test_failed_check_exits_three(tmp_path):
         ("cross", "modes.kmax_sigma=nan", 1),
         ("rotation", "--seed -1", 1),
         ("coulomb", "checks.max_rel=nan", 1),
+        ("rotation", "checks.max_residual=-1", 1),
+        ("cross", "checks.max_em=-1", 1),
+        ("flyby", "checks.max_quantum_ratio=-1", 1),
     ],
 )
 def test_invalid_inputs_exit_with_their_code_not_a_traceback(tmp_path, capsys, key, override, code):
@@ -317,7 +326,7 @@ def test_invalid_inputs_exit_with_their_code_not_a_traceback(tmp_path, capsys, k
     assert "Traceback" not in err
     if code == 1:
         assert named_key(override) in err
-        assert not (tmp_path / "out" / "summary.txt").exists()
+        assert output_files(tmp_path) == []
 
 
 @pytest.mark.parametrize(
@@ -348,7 +357,7 @@ def test_invalid_inputs_exit_with_their_code_not_a_traceback(tmp_path, capsys, k
 def test_configs_that_measure_nothing_exit_one(tmp_path, capsys, key, override):
     assert run_with(tmp_path, key, override) == 1
     assert named_key(override) in capsys.readouterr().err
-    assert not (tmp_path / "out" / "summary.txt").exists()
+    assert output_files(tmp_path) == []
 
 
 def test_a_key_read_under_another_case_counts_as_read(tmp_path):
@@ -371,4 +380,4 @@ MISSPELT = {
 def test_a_misspelt_key_exits_one_in_every_scenario(tmp_path, capsys, key):
     assert run_with(tmp_path, key, MISSPELT[key]) == 1
     assert named_key(MISSPELT[key]) in capsys.readouterr().err
-    assert not (tmp_path / "out" / "summary.txt").exists()
+    assert output_files(tmp_path) == []

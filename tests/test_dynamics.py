@@ -12,17 +12,12 @@ from dualfield.dualcore import (
     UnitSystem,
     inverse_rotate_fields,
     rotate_charges,
-    rotate_potentials,
-    PotentialPair,
 )
 from dualfield.dynamics import (
-    GridFieldSampler,
     MonopoleSampler,
     ParticleState,
-    PointChargeSampler,
     Trajectory,
     UniformFieldSampler,
-    canonical_momentum,
     classical_lorentz_force,
     in_plane_span,
     out_of_plane_component,
@@ -30,8 +25,8 @@ from dualfield.dynamics import (
     push_particle,
     quantum_lorentz_force,
 )
-from dualfield.errors import DecompositionMismatchError, DegeneratePlaneError
-from dualfield.fields import Grid3, VectorField, helmholtz_decompose, point_magnetic_field
+from dualfield.errors import DegeneratePlaneError
+from dualfield.fields import point_magnetic_field
 
 NAT = UnitSystem.natural()
 X, Y, Z = np.eye(3)
@@ -107,24 +102,6 @@ def test_quantum_drops_velocity_coupling_to_longitudinal_fields():
     assert np.linalg.norm(Fc) > 0.05
 
 
-def test_canonical_momentum_value_and_invariance():
-    p = particle(qe=2.0, qm=0.5, v=0.01 * X)
-    A_T = np.array([0.3, -0.1, 0.2])
-    C_T = np.array([-0.2, 0.4, 0.1])
-    expected = p.momentum + 2.0 * A_T + 0.5 * C_T
-    np.testing.assert_allclose(canonical_momentum(p, A_T, C_T, NAT), expected, atol=1e-15)
-    # joint rotation of charges and potentials leaves it unchanged
-    for theta in (0.4, 1.2, 3.0):
-        pp = rotate_potentials(
-            PotentialPair(np.concatenate([[0.0], A_T]), np.concatenate([[0.0], C_T])),
-            theta,
-            NAT,
-        )
-        p_rot = ParticleState(p.position, p.velocity, rotate_charges(p.charges, theta, NAT), p.mass)
-        rotated = canonical_momentum(p_rot, pp.A[1:], pp.C[1:], NAT)
-        np.testing.assert_allclose(rotated, expected, atol=1e-14)
-
-
 # --- samplers ------------------------------------------------------------------
 
 
@@ -137,52 +114,6 @@ def test_monopole_sampler_matches_point_profile():
     assert np.all(trans.E == 0.0) and np.all(trans.B == 0.0)
     assert sampler.in_domain(np.array([1.0 + 1e-3, 0.0, 0.0]))
     assert not sampler.in_domain(np.array([1.0 + 1e-9, 0.0, 0.0]))
-
-
-def test_point_charge_sampler_is_radial_and_longitudinal():
-    sampler = PointChargeSampler(2.0, np.zeros(3), NAT)
-    full, trans = sampler.sample(4.0 * Z, 0.0)
-    np.testing.assert_allclose(full.E, 2.0 * Z / (4.0 * math.pi * 16.0), rtol=1e-14)
-    assert np.all(trans.E == 0.0)
-
-
-def band_limited_fields(grid, seed):
-    rng = np.random.default_rng(seed)
-    hat = np.zeros((2, 3) + grid.shape, dtype=complex)
-    for which in range(2):
-        for _ in range(10):
-            idx = tuple(rng.integers(1, 4, size=3))
-            hat[(which, slice(None)) + idx] = rng.normal(size=3) + 1j * rng.normal(size=3)
-    E = np.stack([np.fft.ifftn(hat[0, a]).real for a in range(3)])
-    B = np.stack([np.fft.ifftn(hat[1, a]).real for a in range(3)])
-    return FieldVecPair(E, B)
-
-
-def test_grid_sampler_splits_fields_spectrally():
-    grid = Grid3((16, 16, 16), (2 * math.pi,) * 3)
-    fields = band_limited_fields(grid, 21)
-    sampler = GridFieldSampler(grid, fields, NAT)
-    E_T, _ = helmholtz_decompose(VectorField(grid, fields.E))
-    idx = (3, 7, 11)
-    x = np.array([grid.axes()[a][idx[a]] for a in range(3)])
-    full, trans = sampler.sample(x, 0.0)
-    np.testing.assert_allclose(full.E, fields.E[(slice(None),) + idx], atol=1e-12)
-    np.testing.assert_allclose(trans.E, E_T.data[(slice(None),) + idx], atol=1e-12)
-
-
-def test_grid_sampler_accepts_consistent_transverse_parts():
-    grid = Grid3((16, 16, 16), (2 * math.pi,) * 3)
-    fields = band_limited_fields(grid, 22)
-    E_T, _ = helmholtz_decompose(VectorField(grid, fields.E))
-    B_T, _ = helmholtz_decompose(VectorField(grid, fields.B))
-    GridFieldSampler(grid, fields, NAT, transverse=FieldVecPair(E_T.data, B_T.data))
-
-
-def test_grid_sampler_rejects_wrong_transverse_claim():
-    grid = Grid3((16, 16, 16), (2 * math.pi,) * 3)
-    fields = band_limited_fields(grid, 23)
-    with pytest.raises(DecompositionMismatchError):
-        GridFieldSampler(grid, fields, NAT, transverse=fields)
 
 
 # --- trajectories ----------------------------------------------------------------

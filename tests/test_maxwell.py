@@ -8,7 +8,6 @@ import pytest
 from dualfield.dualcore import ChargePair, FieldVecPair, UnitSystem
 from dualfield.errors import (
     CFLViolationError,
-    GridMismatchError,
     SharedRatioError,
     SuperluminalSourceError,
 )
@@ -29,8 +28,6 @@ from dualfield.maxwell import (
     gauss_residuals,
     rotate_em_state,
     step_symmetric_maxwell,
-    superpose,
-    zero_state,
 )
 
 NAT = UnitSystem.natural()
@@ -101,7 +98,9 @@ def consistent_state(grid, units, sources, seed=0, n_waves=3):
 
 def test_zero_state_stays_zero():
     grid = cube(8)
-    out = step_symmetric_maxwell(zero_state(grid), 0.01, NAT, steps=5)
+    zeros = np.zeros((3,) + grid.shape)
+    state = EMState(0.0, grid, FieldVecPair(zeros, zeros), [])
+    out = step_symmetric_maxwell(state, 0.01, NAT, steps=5)
     assert np.max(np.abs(out.fields.E)) == 0.0
     assert np.max(np.abs(out.fields.B)) == 0.0
     assert out.t == pytest.approx(0.05)
@@ -109,8 +108,10 @@ def test_zero_state_stays_zero():
 
 def test_static_sources_leave_fields_untouched():
     grid = cube(16)
+    zeros = np.zeros((3,) + grid.shape)
     source = moving_source((3.0, 3.0, 3.0), (0.0, 0.0, 0.0), 1.0, 0.5, sigma=math.pi / 4)
-    out = step_symmetric_maxwell(zero_state(grid, [source]), 0.01, NAT, steps=3)
+    state = EMState(0.0, grid, FieldVecPair(zeros, zeros), [source])
+    out = step_symmetric_maxwell(state, 0.01, NAT, steps=3)
     assert np.max(np.abs(out.fields.E)) == 0.0
     assert np.max(np.abs(out.fields.B)) == 0.0
 
@@ -142,10 +143,12 @@ def test_plane_wave_speed_scales_with_c():
 def test_electric_current_drives_electric_field():
     units = UnitSystem(c=1.0, eps0=2.0)
     grid = cube(16)
+    zeros = np.zeros((3,) + grid.shape)
     v = np.array([0.05, 0.0, 0.0])
     source = moving_source((3.0, 3.0, 3.0), v, qe=1.0, qm=0.0, sigma=math.pi / 4)
     dt = 1e-3
-    out = step_symmetric_maxwell(zero_state(grid, [source]), dt, units)
+    state = EMState(0.0, grid, FieldVecPair(zeros, zeros), [source])
+    out = step_symmetric_maxwell(state, dt, units)
     _, _, j_e, _ = deposit_sources([source.at_time(0.5 * dt)], grid)
     expected = -dt * j_e.data / units.eps0
     scale = float(np.max(np.abs(expected)))
@@ -155,10 +158,12 @@ def test_electric_current_drives_electric_field():
 
 def test_magnetic_current_drives_magnetic_field():
     grid = cube(16)
+    zeros = np.zeros((3,) + grid.shape)
     v = np.array([0.0, 0.04, 0.0])
     source = moving_source((2.0, 2.0, 2.0), v, qe=0.0, qm=0.5, sigma=math.pi / 4)
     dt = 1e-3
-    out = step_symmetric_maxwell(zero_state(grid, [source]), dt, NAT)
+    state = EMState(0.0, grid, FieldVecPair(zeros, zeros), [source])
+    out = step_symmetric_maxwell(state, dt, NAT)
     _, _, _, j_m = deposit_sources([source.at_time(0.5 * dt)], grid)
     expected = -dt * j_m.data
     scale = float(np.max(np.abs(expected)))
@@ -169,7 +174,7 @@ def test_evolution_is_linear():
     grid = cube(16)
     a = consistent_state(grid, NAT, [], seed=1)
     b = consistent_state(grid, NAT, [], seed=2)
-    both = superpose(a, b)
+    both = EMState(0.0, grid, FieldVecPair(a.fields.E + b.fields.E, a.fields.B + b.fields.B), [])
     dt, steps = 0.01, 20
     out_both = step_symmetric_maxwell(both, dt, NAT, steps=steps)
     out_a = step_symmetric_maxwell(a, dt, NAT, steps=steps)
@@ -236,8 +241,9 @@ def test_gauss_constraints_hold_at_the_smearing_edge():
 
 def test_gauss_residual_flags_inconsistent_fields():
     grid = cube(16)
+    zeros = np.zeros((3,) + grid.shape)
     source = moving_source((3.0, 3.0, 3.0), (0.0, 0.0, 0.0), 1.0, 0.0, sigma=math.pi / 4)
-    state = zero_state(grid, [source])
+    state = EMState(0.0, grid, FieldVecPair(zeros, zeros), [source])
     rE, rB = gauss_residuals(state, NAT)
     assert rE > 1e-2  # charge present but no field at all
     assert rB < 1e-12  # no magnetic charge, no magnetic field
@@ -316,25 +322,19 @@ def test_cfl_limit_value_and_violation():
 
 def test_negative_time_step_is_rejected():
     grid = cube(8)
+    zeros = np.zeros((3,) + grid.shape)
+    state = EMState(0.0, grid, FieldVecPair(zeros, zeros), [])
     with pytest.raises(ValueError):
-        step_symmetric_maxwell(zero_state(grid), -0.01, NAT)
+        step_symmetric_maxwell(state, -0.01, NAT)
 
 
 def test_superluminal_source_is_rejected():
     grid = cube(16)
+    zeros = np.zeros((3,) + grid.shape)
     source = moving_source((3.0, 3.0, 3.0), (1.5, 0.0, 0.0), 1.0, 0.0, sigma=math.pi / 4)
+    state = EMState(0.0, grid, FieldVecPair(zeros, zeros), [source])
     with pytest.raises(SuperluminalSourceError):
-        step_symmetric_maxwell(zero_state(grid, [source]), 0.01, NAT)
-
-
-def test_superpose_rejects_mismatched_states():
-    a = zero_state(cube(8))
-    b = zero_state(cube(16))
-    with pytest.raises(GridMismatchError):
-        superpose(a, b)
-    c = zero_state(cube(8), t=1.0)
-    with pytest.raises(ValueError):
-        superpose(a, c)
+        step_symmetric_maxwell(state, 0.01, NAT)
 
 
 def test_field_energy_of_uniform_field():

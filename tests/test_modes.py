@@ -22,19 +22,14 @@ from dualfield.fields import (
 )
 from dualfield import modes
 from dualfield.modes import (
-    ChargeFourier,
     ModeAmplitudeSet,
     ModeSet,
-    charge_fourier,
     coulomb_energy_real,
     coulomb_mode_set,
     free_evolve_modes,
-    gupta_bleuler_residual,
-    load_amplitudes,
     noether_dual_charge,
     noether_dual_current,
     recommended_smearing,
-    save_amplitudes,
     spin_observable,
     symmetric_charge_energy,
     synthesize_potentials,
@@ -58,24 +53,6 @@ def source_pair(r=1.5, qe=(1.0, -1.0), qm=(0.0, 0.0), sigma=0.2):
 # --- mode sets -----------------------------------------------------------------
 
 
-def test_lattice_materializes_the_expected_shell():
-    ms = ModeSet.lattice(dk=1.0, kmax=1.5)
-    assert ms.is_lattice
-    with pytest.raises(ValueError):
-        ms.n_modes
-    full = ms.materialize()
-    # 6 unit vectors and 12 face diagonals lie inside |k| <= 1.5
-    assert full.n_modes == 18
-    norms = np.linalg.norm(full.kvecs, axis=1)
-    assert np.all(norms <= 1.5) and np.all(norms > 0.0)
-
-
-def test_lattice_materialization_has_a_size_guard():
-    ms = ModeSet.lattice(dk=1e-3, kmax=10.0)
-    with pytest.raises(ValueError):
-        ms.materialize(max_modes=1000)
-
-
 def test_from_grid_modes_sit_on_bins_below_nyquist():
     grid = cube(16)
     ms = ModeSet.from_grid(grid, kmax=3.5)
@@ -92,7 +69,7 @@ def test_mode_set_rejects_the_zero_mode():
 
 
 def test_mode_geometry_quantities():
-    ms = ModeSet.lattice(dk=0.5, kmax=1.2).materialize()
+    ms = ModeSet.from_kvecs(0.5 * np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [1.0, -1.0, 2.0]]), dk=0.5)
     assert ms.mode_volume == pytest.approx(0.125)
     assert ms.box_volume == pytest.approx(TWO_PI**3 / 0.125)
     np.testing.assert_allclose(ms.omega(UnitSystem(c=3.0, eps0=1.0)),
@@ -267,65 +244,7 @@ def test_two_field_sector_energies_are_independent():
     assert ee == pytest.approx(coulomb_energy_real(sources, NAT), rel=0.01)
 
 
-# --- Fourier data and the subsidiary condition -----------------------------------------
-
-
-def test_charge_fourier_of_a_point_at_the_origin():
-    k = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
-    ms = ModeSet.from_kvecs(k, dk=1.0)
-    sigma = 0.3
-    src = PointSource(np.zeros(3), np.zeros(3), ChargePair(2.0, 0.0), sigma)
-    cf = charge_fourier([src], ms, NAT)
-    expected = 2.0 * (TWO_PI**-1.5) * np.exp(-0.5 * np.array([1.0, 4.0]) * sigma**2)
-    np.testing.assert_allclose(cf.rho_e, expected, rtol=1e-14)
-    np.testing.assert_allclose(cf.rho_m, 0.0, atol=1e-15)
-
-
-def test_charge_fourier_has_conjugate_symmetry():
-    k = np.array([[1.0, 2.0, -1.0], [-1.0, -2.0, 1.0]])
-    ms = ModeSet.from_kvecs(k, dk=1.0)
-    src = PointSource(np.array([0.3, 1.1, 2.0]), np.array([0.01, 0.0, 0.0]),
-                      ChargePair(1.0, 0.5), 0.3)
-    cf = charge_fourier([src], ms, NAT)
-    assert cf.rho_e[1] == pytest.approx(np.conj(cf.rho_e[0]))
-    np.testing.assert_allclose(cf.xi_m[1], np.conj(cf.xi_m[0]), rtol=1e-13)
-
-
-def test_subsidiary_closure_balances_the_constraint():
-    grid = cube(16)
-    ms = ModeSet.from_grid(grid, kmax=3.5)
-    rng = np.random.default_rng(31)
-    src = PointSource(np.array([2.0, 3.0, 1.0]), np.array([0.02, 0.0, 0.01]),
-                      ChargePair(1.0, 0.4), 0.5)
-    cf = charge_fourier([src], ms, NAT)
-    a = rng.normal(size=(ms.n_modes, 4)) + 1j * rng.normal(size=(ms.n_modes, 4))
-    amp = ModeAmplitudeSet(ms, a)
-    theta = 0.7
-    closed = amp.with_subsidiary_closure(cf, theta)
-    assert gupta_bleuler_residual(closed, cf, theta) < 1e-14
-    # and the one-field residual really is theta sensitive
-    assert gupta_bleuler_residual(closed, cf, theta + 1.0) > 1e-6
-
-
-def test_subsidiary_closure_two_field():
-    ms = ModeSet.from_grid(cube(16), kmax=2.5)
-    src = PointSource(np.array([1.0, 1.0, 1.0]), np.zeros(3), ChargePair(0.7, -0.2), 0.4)
-    cf = charge_fourier([src], ms, NAT)
-    amp = ModeAmplitudeSet.zeros(ms, two_field=True)
-    closed = amp.with_subsidiary_closure(cf, 0.0)
-    assert gupta_bleuler_residual(closed, cf, 0.0) < 1e-15
-    assert closed.b is not None
-
-
-def test_source_free_residual_measures_scalar_minus_longitudinal():
-    ms = ModeSet.from_kvecs(np.array([[1.0, 0.0, 0.0]]), dk=1.0)
-    cf = charge_fourier([], ms, NAT)
-    a = np.zeros((1, 4), dtype=complex)
-    a[0, 0] = 0.25
-    a[0, 3] = 0.25
-    assert gupta_bleuler_residual(ModeAmplitudeSet(ms, a), cf, 0.0) == 0.0
-    a[0, 0] = 0.25 + 1e-3
-    assert gupta_bleuler_residual(ModeAmplitudeSet(ms, a), cf, 0.0) == pytest.approx(1e-3)
+# --- amplitudes and free evolution ------------------------------------------------------
 
 
 def test_amplitude_shape_validation():
@@ -334,18 +253,6 @@ def test_amplitude_shape_validation():
         ModeAmplitudeSet(ms, np.zeros((2, 4), dtype=complex))
     with pytest.raises(ValueError):
         ModeAmplitudeSet(ms, np.zeros((1, 4), dtype=complex), np.zeros((1, 3), dtype=complex))
-
-
-def test_mode_set_mismatch_is_rejected():
-    ms1 = ModeSet.from_kvecs(np.array([[1.0, 0.0, 0.0]]), dk=1.0)
-    ms2 = ModeSet.from_kvecs(np.array([[0.0, 1.0, 0.0]]), dk=1.0)
-    amp = ModeAmplitudeSet.zeros(ms1)
-    cf = charge_fourier([], ms2, NAT)
-    with pytest.raises(ValueError):
-        gupta_bleuler_residual(amp, cf, 0.0)
-
-
-# --- free evolution ---------------------------------------------------------------------
 
 
 def test_free_evolution_phases_and_composition():
@@ -566,51 +473,3 @@ def test_spin_rejects_mismatched_grids():
     with pytest.raises(GridMismatchError):
         spin_observable(zero8, zero16, zero8, zero8, NAT)
 
-
-# --- serialization ------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("two_field", [False, True])
-def test_amplitude_round_trip(tmp_path, two_field):
-    ms = ModeSet.from_kvecs(np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 1.0]]), dk=0.5)
-    rng = np.random.default_rng(17)
-    a = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
-    b = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4)) if two_field else None
-    amp = ModeAmplitudeSet(ms, a, b)
-    path = tmp_path / "amplitudes.txt"
-    save_amplitudes(path, amp)
-    loaded = load_amplitudes(path)
-    np.testing.assert_array_equal(loaded.modes.kvecs, ms.kvecs)
-    np.testing.assert_array_equal(loaded.a, a)
-    if two_field:
-        np.testing.assert_array_equal(loaded.b, b)
-    else:
-        assert loaded.b is None
-    assert loaded.modes.dk == ms.dk
-
-
-@pytest.mark.parametrize(
-    "damage",
-    ["drop the last row", "swap two lam rows", "drop a column"],
-)
-def test_load_amplitudes_rejects_a_damaged_table(tmp_path, damage):
-    ms = ModeSet.from_kvecs(np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 1.0]]), dk=0.5)
-    path = tmp_path / "amplitudes.txt"
-    save_amplitudes(path, ModeAmplitudeSet(ms, np.ones((2, 4), dtype=complex)))
-    lines = path.read_text().splitlines()
-    if damage == "drop the last row":
-        lines = lines[:-1]
-    elif damage == "swap two lam rows":
-        lines[3], lines[4] = lines[4], lines[3]
-    else:
-        lines[-1] = lines[-1].rsplit(",", 1)[0]
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError):
-        load_amplitudes(path)
-
-
-def test_load_amplitudes_requires_metadata(tmp_path):
-    path = tmp_path / "bare.txt"
-    path.write_text("kx,ky,kz,lam,re_a,im_a\n")
-    with pytest.raises(ValueError):
-        load_amplitudes(path)
