@@ -498,7 +498,7 @@ def run_coulomb_equivalence(cfg: ScenarioConfig, outdir: Path) -> Checks:
         )
         if reference is None:
             raise ConfigError("all sources have zero charge")
-        theta = asymmetrizing_angle(reference.charges, units).theta
+        theta = asymmetrizing_angle(reference.charges, units)
     else:
         theta = cfg.get_float("rotation", "theta", 0.0)
     max_rel = cfg.get_float("checks", "max_rel", 0.01, at_least=0)

@@ -37,6 +37,9 @@ both are exposed; each function documents the exact map it applies.
       A' = A cos(t) + (C / c) sin(t)
       C' = C cos(t) - c A sin(t)
 
+All four maps are one kernel, ``_rotate``.  Angles are plain floats, reduced
+modulo 2 pi by ``_angle``, and ``asymmetrizing_angle`` returns one so reduced.
+
 The pairing that leaves dynamics form-invariant is ``inverse_rotate_fields``
 on (E, B) together with ``rotate_charges`` on charge pairs and
 ``rotate_potentials`` on potential pairs, all at the same angle.
@@ -96,22 +99,8 @@ class UnitSystem:
         return cls(c=299792458.0, eps0=8.8541878128e-12)
 
 
-@dataclass(frozen=True)
-class DualAngle:
-    """Rotation angle, stored reduced to [0, 2*pi)."""
-
-    theta: float
-
-    def __post_init__(self) -> None:
-        value = float(self.theta)
-        if not math.isfinite(value):
-            raise ValueError(f"theta must be finite, got {value!r}")
-        object.__setattr__(self, "theta", value % TWO_PI)
-
-
-def _angle(theta: DualAngle | float) -> float:
-    if isinstance(theta, DualAngle):
-        return theta.theta
+def _angle(theta: float) -> float:
+    """The one angle normalization: a finite float reduced modulo 2 pi."""
     value = float(theta)
     if not math.isfinite(value):
         raise ValueError(f"theta must be finite, got {value!r}")
@@ -170,33 +159,30 @@ class PotentialPair:
             raise ValueError(f"four-potentials need a leading axis of length 4, got {self.A.shape}")
 
 
-def rotate_fields(fields: FieldVecPair, theta: DualAngle | float, units: UnitSystem) -> FieldVecPair:
+def _rotate(x, y, theta: float, scale: float, sign: float = 1.0):
+    """``(x cos + scale y s, y cos - x s / scale)`` with ``s = sign sin(theta)``.
+
+    Maps that turn the other way pass ``sign = -1`` rather than ``-theta``:
+    negation is exact, while ``_angle(-theta)`` rounds.
+    """
+    t = _angle(theta)
+    _require_finite("x", x)
+    _require_finite("y", y)
+    ct, st = math.cos(t), sign * math.sin(t)
+    return x * ct + scale * y * st, y * ct - x * (st / scale)
+
+
+def rotate_fields(fields: FieldVecPair, theta: float, units: UnitSystem) -> FieldVecPair:
     """Rotate (E, B) by theta: E' = E cos - cB sin, B' = B cos + (E/c) sin."""
-    t = _angle(theta)
-    _require_finite("E", fields.E)
-    _require_finite("B", fields.B)
-    ct, st = math.cos(t), math.sin(t)
-    c = units.c
-    return FieldVecPair(
-        E=fields.E * ct - c * fields.B * st,
-        B=fields.B * ct + fields.E * (st / c),
-    )
+    return FieldVecPair(*_rotate(fields.E, fields.B, theta, units.c, -1.0))
 
 
-def inverse_rotate_fields(fields: FieldVecPair, theta: DualAngle | float, units: UnitSystem) -> FieldVecPair:
+def inverse_rotate_fields(fields: FieldVecPair, theta: float, units: UnitSystem) -> FieldVecPair:
     """Inverse of ``rotate_fields``: E = E' cos + cB' sin, B = B' cos - (E'/c) sin."""
-    t = _angle(theta)
-    _require_finite("E", fields.E)
-    _require_finite("B", fields.B)
-    ct, st = math.cos(t), math.sin(t)
-    c = units.c
-    return FieldVecPair(
-        E=fields.E * ct + c * fields.B * st,
-        B=fields.B * ct - fields.E * (st / c),
-    )
+    return FieldVecPair(*_rotate(fields.E, fields.B, theta, units.c))
 
 
-def rotate_charge_components(qe, qm, theta: DualAngle | float, units: UnitSystem):
+def rotate_charge_components(qe, qm, theta: float, units: UnitSystem):
     """Apply the charge rotation to scalars or arrays componentwise.
 
     qe' = qe cos + c eps0 qm sin;  qm' = qm cos - qe sin / (c eps0).
@@ -207,10 +193,7 @@ def rotate_charge_components(qe, qm, theta: DualAngle | float, units: UnitSystem
     Arrays get no rescaling; use ``rotate_charges`` for a pair that must stay
     exact down to subnormals.
     """
-    t = _angle(theta)
-    ct, st = math.cos(t), math.sin(t)
-    ce = units.c * units.eps0
-    return qe * ct + ce * qm * st, qm * ct - qe * (st / ce)
+    return _rotate(qe, qm, theta, units.c * units.eps0)
 
 
 def _unit_scaled(charges: ChargePair, units: UnitSystem) -> tuple[float, float, int]:
@@ -230,7 +213,7 @@ def _unit_scaled(charges: ChargePair, units: UnitSystem) -> tuple[float, float, 
     return math.ldexp(qe, -e), math.ldexp(qm, -e), e
 
 
-def rotate_charges(charges: ChargePair, theta: DualAngle | float, units: UnitSystem) -> ChargePair:
+def rotate_charges(charges: ChargePair, theta: float, units: UnitSystem) -> ChargePair:
     """Rotate a charge pair (see ``rotate_charge_components`` for the map).
 
     Exact to the last place down to subnormal pairs (see the module
@@ -241,17 +224,10 @@ def rotate_charges(charges: ChargePair, theta: DualAngle | float, units: UnitSys
     return ChargePair(qe=math.ldexp(qe, e), qm=math.ldexp(qm, e))
 
 
-def rotate_potentials(potentials: PotentialPair, theta: DualAngle | float, units: UnitSystem) -> PotentialPair:
+def rotate_potentials(potentials: PotentialPair, theta: float, units: UnitSystem) -> PotentialPair:
     """Rotate a potential pair: A' = A cos + (C/c) sin, C' = C cos - cA sin."""
-    t = _angle(theta)
-    _require_finite("A", potentials.A)
-    _require_finite("C", potentials.C)
-    ct, st = math.cos(t), math.sin(t)
-    c = units.c
-    return PotentialPair(
-        A=potentials.A * ct + potentials.C * (st / c),
-        C=potentials.C * ct - c * potentials.A * st,
-    )
+    C, A = _rotate(potentials.C, potentials.A, theta, units.c, -1.0)
+    return PotentialPair(A=A, C=C)
 
 
 def charge_norm(charges: ChargePair, units: UnitSystem) -> float:
@@ -265,7 +241,7 @@ def charge_norm(charges: ChargePair, units: UnitSystem) -> float:
     return math.ldexp(math.hypot(qe, units.c * units.eps0 * qm), e)
 
 
-def asymmetrizing_angle(charges: ChargePair, units: UnitSystem) -> DualAngle:
+def asymmetrizing_angle(charges: ChargePair, units: UnitSystem) -> float:
     """Angle whose charge rotation maps the pair to (charge_norm, 0).
 
     The angle is taken from the pair scaled up to unit size, so ``c eps0 qm``
@@ -277,7 +253,7 @@ def asymmetrizing_angle(charges: ChargePair, units: UnitSystem) -> DualAngle:
     if charges.qe == 0.0 and charges.qm == 0.0:
         raise ZeroChargeNormError("asymmetrizing angle is undefined for a zero charge pair")
     qe, qm, _ = _unit_scaled(charges, units)
-    return DualAngle(math.atan2(units.c * units.eps0 * qm, qe))
+    return math.atan2(units.c * units.eps0 * qm, qe) % TWO_PI
 
 
 def field_quadratic_form(fields: FieldVecPair, units: UnitSystem) -> float:

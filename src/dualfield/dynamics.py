@@ -1,14 +1,14 @@
 """Test-particle motion under the classical and quantum two-charge forces.
 
-The classical force on a carrier with charge pair (qe, qm) is
+Both models are one force law, written once in its dual-invariant form
 
-    F = qe (E + v x B) + c eps0 qm (c B - v x E / c)
+    F = qe E + c^2 eps0 qm B + v x (qe B_c - eps0 qm E_c)
 
-with the full fields throughout.  The quantum force keeps the full fields in
-the direct terms but couples the velocity-cross terms to the transverse
-field parts only:
-
-    F = qe (E + v x B_T) + c eps0 qm (c B - v x E_T / c)
+that is, qe (E + v x B_c) + c eps0 qm (c B - v x E_c / c) regrouped.  The
+classical model couples the full fields, (E_c, B_c) = (E, B); the quantum
+model couples only their transverse parts (E_T, B_T).  Both combinations
+are unchanged when the charges turn with ``rotate_charges`` and the fields
+with ``inverse_rotate_fields``.
 
 Samplers provide both the full and the transverse field sample at a point;
 each is an analytic field that declares the split exactly.  The pusher is
@@ -46,34 +46,27 @@ class ParticleState:
             raise ValueError(f"mass must be positive, got {self.mass}")
 
 
-def classical_lorentz_force(
-    particle: ParticleState, fields: FieldVecPair, units: UnitSystem
-) -> np.ndarray:
-    """Classical force; full fields enter every term."""
-    E, B = fields.E, fields.B
-    v = particle.velocity
-    c, eps0 = units.c, units.eps0
-    qe, qm = particle.charges.qe, particle.charges.qm
-    return qe * (E + np.cross(v, B)) + c * eps0 * qm * (c * B - np.cross(v, E) / c)
-
-
 def quantum_lorentz_force(
-    particle: ParticleState,
+    velocity: np.ndarray,
+    charges: ChargePair,
     full: FieldVecPair,
-    transverse: FieldVecPair,
+    coupled: FieldVecPair,
     units: UnitSystem,
 ) -> np.ndarray:
-    """Quantum force; velocity-cross terms see transverse fields only.
+    """Two-charge force; the velocity cross product sees ``coupled`` fields only.
 
-    Whether ``transverse`` really is the transverse part of ``full`` is a
-    nonlocal statement, so point samples are taken on trust here.
+    The quantum model passes transverse parts, on trust: transversality is nonlocal.
     """
-    v = particle.velocity
-    c, eps0 = units.c, units.eps0
-    qe, qm = particle.charges.qe, particle.charges.qm
-    return qe * (full.E + np.cross(v, transverse.B)) + c * eps0 * qm * (
-        c * full.B - np.cross(v, transverse.E) / c
-    )
+    qe, qm, eps0 = charges.qe, charges.qm, units.eps0
+    direct = qe * full.E + (units.c * units.c * eps0 * qm) * full.B
+    return direct + np.cross(velocity, qe * coupled.B - (eps0 * qm) * coupled.E)
+
+
+def classical_lorentz_force(
+    velocity: np.ndarray, charges: ChargePair, fields: FieldVecPair, units: UnitSystem
+) -> np.ndarray:
+    """Classical force: the same law with the full fields in every term."""
+    return quantum_lorentz_force(velocity, charges, fields, fields, units)
 
 
 class UniformFieldSampler:
@@ -141,12 +134,9 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.t)
 
-    def to_csv(self, path, plane_normal: np.ndarray | None = None) -> None:
+    def to_csv(self, path, plane_normal: np.ndarray) -> None:
         """Write t,x,y,z,vx,vy,vz,Fx,Fy,Fz,out_of_plane_displacement rows."""
-        if plane_normal is None:
-            out_of_plane = np.zeros(len(self.t))
-        else:
-            out_of_plane, _ = out_of_plane_component(self, plane_normal)
+        out_of_plane, _ = out_of_plane_component(self, plane_normal)
         with open(path, "w") as fh:
             fh.write("t,x,y,z,vx,vy,vz,Fx,Fy,Fz,out_of_plane_displacement\n")
             for i in range(len(self.t)):
@@ -175,12 +165,11 @@ def push_particle(
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
 
+    coupled = _FORCE_MODELS.index(model)  # sample() returns (full, transverse)
+
     def force(x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-        probe = ParticleState(x, v, particle.charges, particle.mass)
-        full, trans = sampler.sample(x, t)
-        if model == "classical":
-            return classical_lorentz_force(probe, full, units)
-        return quantum_lorentz_force(probe, full, trans, units)
+        fields = sampler.sample(x, t)
+        return quantum_lorentz_force(v, particle.charges, fields[0], fields[coupled], units)
 
     m = particle.mass
     guard = SPEED_GUARD_FRACTION * units.c
@@ -239,15 +228,19 @@ def plane_normal(r: np.ndarray, v: np.ndarray) -> np.ndarray:
     return n / norm
 
 
-def out_of_plane_component(
-    trajectory: Trajectory, normal: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Displacement (from the initial point) and force along the plane normal."""
+def _unit_normal(normal: np.ndarray) -> np.ndarray:
     n = np.asarray(normal, dtype=float).reshape(3)
     length = float(np.linalg.norm(n))
     if length == 0.0:
         raise DegeneratePlaneError("plane normal must be nonzero")
-    n = n / length
+    return n / length
+
+
+def out_of_plane_component(
+    trajectory: Trajectory, normal: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Displacement (from the initial point) and force along the plane normal."""
+    n = _unit_normal(normal)
     displacement = (trajectory.x - trajectory.x[0]) @ n
     force = trajectory.force @ n
     return displacement, force
@@ -255,8 +248,7 @@ def out_of_plane_component(
 
 def in_plane_span(trajectory: Trajectory, normal: np.ndarray) -> float:
     """Largest in-plane displacement from the initial point along the path."""
-    n = np.asarray(normal, dtype=float).reshape(3)
-    n = n / float(np.linalg.norm(n))
+    n = _unit_normal(normal)
     rel = trajectory.x - trajectory.x[0]
     in_plane = rel - np.outer(rel @ n, n)
     return float(np.max(np.linalg.norm(in_plane, axis=1)))

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dualcore import (
-    DualAngle,
     FieldVecPair,
     UnitSystem,
     field_quadratic_form,
@@ -153,7 +152,7 @@ def field_energy(state: EMState, units: UnitSystem) -> float:
     return 0.5 * field_quadratic_form(state.fields, units) * state.grid.cell_volume
 
 
-def rotate_em_state(state: EMState, theta: DualAngle | float, units: UnitSystem) -> EMState:
+def rotate_em_state(state: EMState, theta: float, units: UnitSystem) -> EMState:
     """Dual rotation of a whole state: fields and source charges together.
 
     Pairs ``inverse_rotate_fields`` with ``rotate_charges`` at the same
@@ -166,7 +165,7 @@ def rotate_em_state(state: EMState, theta: DualAngle | float, units: UnitSystem)
 
 def dual_covariance_residual(
     state: EMState,
-    theta: DualAngle | float,
+    theta: float,
     steps: int,
     dt: float,
     units: UnitSystem,

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from dualfield.dualcore import (
     ChargePair,
-    DualAngle,
     FieldVecPair,
     PotentialPair,
     UnitSystem,
@@ -86,7 +85,7 @@ def test_charge_norm_is_pythagorean():
 
 
 def test_asymmetrizing_angle_of_equal_pair_is_quarter_pi():
-    assert asymmetrizing_angle(ChargePair(1.0, 1.0), NAT).theta == pytest.approx(math.pi / 4)
+    assert asymmetrizing_angle(ChargePair(1.0, 1.0), NAT) == pytest.approx(math.pi / 4)
 
 
 def test_asymmetrizing_angle_rejects_zero_pair():
@@ -120,9 +119,54 @@ def test_charge_rotation_overflow_raises_non_finite_input():
         rotate_charges(ChargePair(1e308, 0.0), math.pi / 2, UnitSystem.si())
 
 
-def test_dual_angle_reduces_modulo_two_pi():
-    assert DualAngle(2.0 * math.pi + 0.5).theta == pytest.approx(0.5)
-    assert DualAngle(-0.1).theta == pytest.approx(2.0 * math.pi - 0.1)
+@pytest.mark.parametrize(
+    "pair, quarter_turns",
+    [((1.0, 1.0), 0.5), ((-1.0, 1.0), 1.5), ((-1.0, -1.0), 2.5), ((1.0, -1.0), 3.5)],
+)
+def test_asymmetrizing_angle_lies_in_one_turn(pair, quarter_turns):
+    theta = asymmetrizing_angle(ChargePair(*pair), NAT)
+    assert isinstance(theta, float)
+    assert 0.0 <= theta < 2.0 * math.pi
+    assert theta == pytest.approx(quarter_turns * math.pi / 2)
+
+
+def same_bits(a, b):
+    """Equal values and equal signs of zero."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize(
+    "units", [NAT, UnitSystem.si(), UnitSystem(c=3.0, eps0=0.2)], ids=["natural", "si", "c3-eps0.2"]
+)
+def test_dual_maps_equal_their_docstring_formulas_bitwise(units):
+    # each reference is the docstring formula, grouped as the maps evaluate it
+    rng = np.random.default_rng(17)
+    c, ce = units.c, units.c * units.eps0
+
+    def draw(n):
+        values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-100.0, 100.0, n)
+        values[rng.random(n) < 0.2] = 0.0
+        return values * rng.choice([-1.0, 1.0], n)  # zeros of both signs
+
+    for theta in [0.0, math.pi / 2, math.pi, *rng.uniform(-10.0, 10.0, 20)]:
+        t = theta % (2.0 * math.pi)
+        ct, st = math.cos(t), math.sin(t)
+        E, B = draw(12).reshape(3, 4), draw(12).reshape(3, 4)
+        A, C = draw(16).reshape(4, 4), draw(16).reshape(4, 4)
+        out = rotate_fields(FieldVecPair(E, B), theta, units)
+        assert same_bits(out.E, E * ct - c * B * st) and same_bits(out.B, B * ct + E * (st / c))
+        out = inverse_rotate_fields(FieldVecPair(E, B), theta, units)
+        assert same_bits(out.E, E * ct + c * B * st) and same_bits(out.B, B * ct - E * (st / c))
+        out = rotate_potentials(PotentialPair(A, C), theta, units)
+        assert same_bits(out.A, A * ct + C * (st / c)) and same_bits(out.C, C * ct - c * A * st)
+        qe, qm = rotate_charge_components(E[0], B[0], theta, units)
+        assert same_bits(qe, E[0] * ct + ce * B[0] * st)
+        assert same_bits(qm, B[0] * ct - E[0] * (st / ce))
+        for pair in zip(A[0], C[0]):  # normal-range pairs: the rescaling changes no bit
+            out = rotate_charges(ChargePair(*pair), theta, units)
+            qe, qm = pair
+            assert same_bits(out.qe, qe * ct + ce * qm * st)
+            assert same_bits(out.qm, qm * ct - qe * (st / ce))
 
 
 def test_unit_system_keeps_permeability_consistent():

@@ -30,6 +30,7 @@ from dualfield.fields import point_magnetic_field
 
 NAT = UnitSystem.natural()
 X, Y, Z = np.eye(3)
+ZERO3 = np.zeros(3)
 
 
 def particle(qe=1.0, qm=0.0, v=(0.0, 0.0, 0.0), x=(0.0, 0.0, 0.0), mass=1.0):
@@ -40,30 +41,24 @@ def particle(qe=1.0, qm=0.0, v=(0.0, 0.0, 0.0), x=(0.0, 0.0, 0.0), mass=1.0):
 
 
 def test_electric_charge_feels_the_electric_field():
-    F = classical_lorentz_force(particle(qe=2.0), FieldVecPair(3.0 * X, np.zeros(3)), NAT)
+    F = classical_lorentz_force(ZERO3, ChargePair(2.0), FieldVecPair(3.0 * X, ZERO3), NAT)
     np.testing.assert_allclose(F, 6.0 * X, atol=1e-15)
 
 
 def test_electric_charge_feels_v_cross_b():
-    F = classical_lorentz_force(
-        particle(qe=1.0, v=0.01 * Y), FieldVecPair(np.zeros(3), 2.0 * Z), NAT
-    )
+    F = classical_lorentz_force(0.01 * Y, ChargePair(1.0), FieldVecPair(ZERO3, 2.0 * Z), NAT)
     np.testing.assert_allclose(F, 0.02 * X, atol=1e-15)
 
 
 def test_magnetic_charge_feels_the_magnetic_field():
     units = UnitSystem(c=2.0, eps0=3.0)
-    F = classical_lorentz_force(
-        particle(qe=0.0, qm=0.5), FieldVecPair(np.zeros(3), 4.0 * X), units
-    )
+    F = classical_lorentz_force(ZERO3, ChargePair(0.0, 0.5), FieldVecPair(ZERO3, 4.0 * X), units)
     # c eps0 qm * c B = 2*3*0.5 * 2*4
     np.testing.assert_allclose(F, 24.0 * X, atol=1e-14)
 
 
 def test_magnetic_charge_feels_minus_v_cross_e():
-    F = classical_lorentz_force(
-        particle(qe=0.0, qm=1.0, v=0.02 * Y), FieldVecPair(3.0 * Z, np.zeros(3)), NAT
-    )
+    F = classical_lorentz_force(0.02 * Y, ChargePair(0.0, 1.0), FieldVecPair(3.0 * Z, ZERO3), NAT)
     np.testing.assert_allclose(F, -0.06 * X, atol=1e-15)
 
 
@@ -71,35 +66,54 @@ def test_magnetic_charge_feels_minus_v_cross_e():
 def test_classical_force_is_invariant_under_joint_rotation(theta):
     rng = np.random.default_rng(11)
     for _ in range(10):
-        p = particle(qe=rng.normal(), qm=rng.normal(), v=0.02 * rng.normal(size=3))
+        charges, v = ChargePair(rng.normal(), rng.normal()), 0.02 * rng.normal(size=3)
         fields = FieldVecPair(rng.normal(size=3), rng.normal(size=3))
-        F = classical_lorentz_force(p, fields, NAT)
-        p_rot = ParticleState(
-            p.position, p.velocity, rotate_charges(p.charges, theta, NAT), p.mass
+        F = classical_lorentz_force(v, charges, fields, NAT)
+        F_rot = classical_lorentz_force(
+            v, rotate_charges(charges, theta, NAT), inverse_rotate_fields(fields, theta, NAT), NAT
         )
-        F_rot = classical_lorentz_force(p_rot, inverse_rotate_fields(fields, theta, NAT), NAT)
         np.testing.assert_allclose(F_rot, F, atol=1e-12)
 
 
 def test_quantum_equals_classical_on_fully_transverse_fields():
     rng = np.random.default_rng(12)
     for _ in range(10):
-        p = particle(qe=rng.normal(), qm=rng.normal(), v=0.03 * rng.normal(size=3))
+        charges, v = ChargePair(rng.normal(), rng.normal()), 0.03 * rng.normal(size=3)
         fields = FieldVecPair(rng.normal(size=3), rng.normal(size=3))
-        Fc = classical_lorentz_force(p, fields, NAT)
-        Fq = quantum_lorentz_force(p, fields, fields, NAT)
+        Fc = classical_lorentz_force(v, charges, fields, NAT)
+        Fq = quantum_lorentz_force(v, charges, fields, fields, NAT)
         np.testing.assert_array_equal(Fq, Fc)
 
 
 def test_quantum_drops_velocity_coupling_to_longitudinal_fields():
-    p = particle(qe=1.0, v=0.05 * Y)
-    full = FieldVecPair(np.zeros(3), 2.0 * Z)  # purely longitudinal B
-    none = FieldVecPair(np.zeros(3), np.zeros(3))
-    F = quantum_lorentz_force(p, full, none, NAT)
-    np.testing.assert_allclose(F, np.zeros(3), atol=1e-15)
+    v, charges = 0.05 * Y, ChargePair(1.0)
+    full = FieldVecPair(ZERO3, 2.0 * Z)  # purely longitudinal B
+    none = FieldVecPair(ZERO3, ZERO3)
+    F = quantum_lorentz_force(v, charges, full, none, NAT)
+    np.testing.assert_allclose(F, ZERO3, atol=1e-15)
     # the classical model still deflects
-    Fc = classical_lorentz_force(p, full, NAT)
+    Fc = classical_lorentz_force(v, charges, full, NAT)
     assert np.linalg.norm(Fc) > 0.05
+
+
+@pytest.mark.parametrize(
+    "units", [NAT, UnitSystem.si(), UnitSystem(c=3.0, eps0=0.2)], ids=["natural", "si", "c3-eps0.2"]
+)
+def test_lorentz_force_matches_the_two_cross_product_form(units):
+    # F = qe (E + v x B_c) + c eps0 qm (c B - v x E_c / c), the textbook form
+    rng = np.random.default_rng(23)
+    c, eps0 = units.c, units.eps0
+    for _ in range(200):
+        qe, qm = rng.normal(), rng.normal() / (c * eps0)
+        E, E_c = c * rng.normal(size=3), c * rng.normal(size=3)
+        B, B_c = rng.normal(size=3), rng.normal(size=3)
+        v = 0.1 * c * rng.normal(size=3)
+        reference = qe * (E + np.cross(v, B_c)) + c * eps0 * qm * (c * B - np.cross(v, E_c) / c)
+        terms = [qe * E, qe * np.cross(v, B_c), c * eps0 * qm * c * B, eps0 * qm * np.cross(v, E_c)]
+        scale = sum(np.abs(term) for term in terms)
+        charges, full, coupled = ChargePair(qe, qm), FieldVecPair(E, B), FieldVecPair(E_c, B_c)
+        F = quantum_lorentz_force(v, charges, full, coupled, units)
+        assert np.all(np.abs(F - reference) <= 1e-14 * scale)
 
 
 # --- samplers ------------------------------------------------------------------
@@ -213,6 +227,22 @@ def test_trajectory_truncates_on_speed_guard():
     assert np.max(np.linalg.norm(traj.v, axis=1)) <= 0.1 * NAT.c + 1e-12
 
 
+@pytest.mark.parametrize("model", ["classical", "quantum"])
+def test_push_particle_builds_no_particle_state_per_stage(monkeypatch, model):
+    # position, velocity and charges go straight to the force law
+    sampler, p, _ = flyby_setup()
+    original, built = ParticleState.__post_init__, []
+
+    def spy(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(ParticleState, "__post_init__", spy)
+    traj = push_particle(p, sampler, model, 0.05, 20, NAT)
+    assert len(traj) == 21
+    assert len(built) == 0
+
+
 def test_push_particle_rejects_bad_arguments():
     sampler = UniformFieldSampler(np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError):
@@ -256,6 +286,8 @@ def test_out_of_plane_rejects_zero_normal():
     )
     with pytest.raises(DegeneratePlaneError):
         out_of_plane_component(traj, np.zeros(3))
+    with pytest.raises(DegeneratePlaneError):
+        in_plane_span(traj, np.zeros(3))
 
 
 def test_trajectory_csv_round_trip(tmp_path):

@@ -463,6 +463,30 @@ def test_fft_is_called_only_by_the_spectral_helpers():
     assert helpers == {"_to_spectrum": ["rfftn"], "_to_grid": ["irfftn"]}
 
 
+def _callers(path, wanted):
+    """Top-level definitions in ``path`` that call one of ``wanted`` (``module.name``)."""
+    found = {}
+    for stmt in ast.parse(path.read_text()).body:
+        calls = {
+            f"{n.func.value.id}.{n.func.attr}"
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute)
+            and isinstance(n.func.value, ast.Name)
+        }
+        if calls & wanted:
+            found[getattr(stmt, "name", None)] = sorted(calls & wanted)
+    return found
+
+
+def test_dual_rotation_and_force_law_are_written_once():
+    package = Path(dualfield.__file__).parent
+    trig = _callers(package / "dualcore.py", {"math.cos", "math.sin"})
+    assert trig == {"_rotate": ["math.cos", "math.sin"]}
+    cross = _callers(package / "dynamics.py", {"np.cross"})
+    assert cross == {"quantum_lorentz_force": ["np.cross"], "plane_normal": ["np.cross"]}
+
+
 # Public names kept although no scenario, no other module and no acceptance
 # criterion calls them; every other public name must have such a caller.
 NO_CALLER_ALLOWED = {
