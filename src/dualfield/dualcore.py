@@ -38,7 +38,8 @@ both are exposed; each function documents the exact map it applies.
       C' = C cos(t) - c A sin(t)
 
 All four maps are one kernel, ``_rotate``.  Angles are plain floats, reduced
-modulo 2 pi by ``_angle``, and ``asymmetrizing_angle`` returns one so reduced.
+exactly by ``_angle`` (``math.fmod``, so a negative angle stays negative), and
+``asymmetrizing_angle`` returns the unreduced ``atan2`` value in [-pi, pi].
 
 The pairing that leaves dynamics form-invariant is ``inverse_rotate_fields``
 on (E, B) together with ``rotate_charges`` on charge pairs and
@@ -51,6 +52,7 @@ coefficients as charges; use ``rotate_charge_components`` for arrays.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +76,9 @@ class UnitSystem:
     """Unit system fixed by the vacuum light speed and permittivity.
 
     The permeability is derived, so ``mu0 * eps0 * c**2 == 1`` holds exactly.
+    ``c * c``, ``c * eps0``, ``eps0 * c * c`` and ``mu0`` must be normal
+    floats, so no formula of the package divides by zero or overflows on the
+    units alone.
     """
 
     c: float = 1.0
@@ -85,6 +90,11 @@ class UnitSystem:
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
             object.__setattr__(self, name, float(value))
+        lo, hi, ce = sys.float_info.min, sys.float_info.max, self.c * self.eps0
+        if not (all(lo <= v <= hi for v in (self.c * self.c, ce, ce * self.c))
+                and lo <= self.mu0 <= hi):
+            raise ValueError(f"c * c, c * eps0, eps0 * c * c and mu0 must be normal floats, "
+                             f"got c={self.c!r}, eps0={self.eps0!r}")
 
     @property
     def mu0(self) -> float:
@@ -100,11 +110,12 @@ class UnitSystem:
 
 
 def _angle(theta: float) -> float:
-    """The one angle normalization: a finite float reduced modulo 2 pi."""
+    """The one angle normalization: ``fmod(theta, 2 pi)``, exact and of the
+    sign of theta (``%`` rounds a tiny negative angle up to the float 2 pi)."""
     value = float(theta)
     if not math.isfinite(value):
         raise ValueError(f"theta must be finite, got {value!r}")
-    return value % TWO_PI
+    return math.fmod(value, TWO_PI) + 0.0
 
 
 @dataclass(frozen=True)
@@ -162,8 +173,8 @@ class PotentialPair:
 def _rotate(x, y, theta: float, scale: float, sign: float = 1.0):
     """``(x cos + scale y s, y cos - x s / scale)`` with ``s = sign sin(theta)``.
 
-    Maps that turn the other way pass ``sign = -1`` rather than ``-theta``:
-    negation is exact, while ``_angle(-theta)`` rounds.
+    Maps that turn the other way pass ``sign = -1`` rather than ``-theta``,
+    which keeps the signed zeros of their docstring formulas at theta = 0.
     """
     t = _angle(theta)
     _require_finite("x", x)
@@ -242,7 +253,7 @@ def charge_norm(charges: ChargePair, units: UnitSystem) -> float:
 
 
 def asymmetrizing_angle(charges: ChargePair, units: UnitSystem) -> float:
-    """Angle whose charge rotation maps the pair to (charge_norm, 0).
+    """Angle in [-pi, pi] whose charge rotation maps the pair to (charge_norm, 0).
 
     The angle is taken from the pair scaled up to unit size, so ``c eps0 qm``
     is not rounded to the subnormal grid first, and ``rotate_charges`` at
@@ -253,7 +264,7 @@ def asymmetrizing_angle(charges: ChargePair, units: UnitSystem) -> float:
     if charges.qe == 0.0 and charges.qm == 0.0:
         raise ZeroChargeNormError("asymmetrizing angle is undefined for a zero charge pair")
     qe, qm, _ = _unit_scaled(charges, units)
-    return math.atan2(units.c * units.eps0 * qm, qe) % TWO_PI
+    return math.atan2(units.c * units.eps0 * qm, qe)
 
 
 def field_quadratic_form(fields: FieldVecPair, units: UnitSystem) -> float:

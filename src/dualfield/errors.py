@@ -67,7 +67,3 @@ class CoincidentSourcesError(PreconditionError):
 class AliasingError(PreconditionError):
     """A mode does not fit on the synthesis grid without aliasing."""
 
-
-class NotTransverseError(PreconditionError):
-    """A field passed as transverse has a longitudinal component."""
-

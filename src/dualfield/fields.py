@@ -295,8 +295,8 @@ def deposit_sources(
 
 
 def spectral_gradient(data: np.ndarray, grid: Grid3) -> np.ndarray:
-    """Gradient of a real scalar grid array, shape (3, nx, ny, nz)."""
-    return _to_grid(1j * _kgrid(grid) * _to_spectrum(data))
+    """Gradient of real scalar grid arrays: (..., nx, ny, nz) in, (..., 3, nx, ny, nz) out."""
+    return _to_grid(1j * _kgrid(grid) * _to_spectrum(data)[..., None, :, :, :])
 
 
 def spectral_divergence(data: np.ndarray, grid: Grid3) -> np.ndarray:
@@ -357,15 +357,6 @@ def helmholtz_decompose(field: VectorField) -> tuple[VectorField, VectorField]:
     long_hat[:, 0, 0, 0] = hat[:, 0, 0, 0]
     trans_hat = hat - long_hat
     return VectorField(grid, _to_grid(trans_hat)), VectorField(grid, _to_grid(long_hat))
-
-
-def longitudinal_fraction(field: VectorField) -> float:
-    """L2 fraction of the field that is longitudinal (0 for a zero field)."""
-    total = field.l2norm()
-    if total == 0.0:
-        return 0.0
-    _, longitudinal = helmholtz_decompose(field)
-    return longitudinal.l2norm() / total
 
 
 def coulomb_field_from_density(density: ScalarField, prefactor: float) -> VectorField:

@@ -10,13 +10,13 @@ unit ``eps(k,0) = (1, 0)``, two transverse spatial vectors ``eps(k,1)``,
 positive helicity).
 
 A lattice of spacing ``dk`` represents a periodic volume ``V = (2 pi)^3 /
-(dkx dky dkz)`` and the per-mode normalization is ``N_k = sqrt(hbar /
-(2 eps0 omega_k V))`` with ``omega_k = c |k|``.  In the one-field model both
-potentials are built from one amplitude family ``a``: the A-potential with
-weight ``cos(theta)`` and the C-potential with weight ``c sin(theta)``, so
-the subsidiary condition ``C cos = c A sin`` holds identically.  The
-two-field model uses independent families ``a`` (for A, weight 1) and ``b``
-(for C, weight c).
+(dkx dky dkz)`` and the per-mode normalization is ``N_k = sqrt(1 /
+(2 eps0 omega_k V))`` with ``omega_k = c |k|`` (hbar = 1).  Both potentials
+are built from one amplitude family ``a``: the A-potential with weight
+``cos(theta)`` and the C-potential with weight ``c sin(theta)``, so the
+subsidiary condition ``C cos = c A sin`` holds identically.  The two-field
+model (independent A and C) appears only in ``two_field_energy`` and in the
+noether-zero violating configuration, A of one synthesis with C = c A of another.
 
 Coulomb energy quadrature
 -------------------------
@@ -55,19 +55,15 @@ from .dualcore import (
     asymmetrizing_angle,
     rotate_charge_components,
 )
-from .errors import (
-    AliasingError,
-    CoincidentSourcesError,
-    GridMismatchError,
-    NotTransverseError,
-)
+from .errors import AliasingError, CoincidentSourcesError, GridMismatchError
 from .fields import (
     Grid3,
     PointSource,
     VectorField,
     _to_grid,
     check_shared_ratio,
-    longitudinal_fraction,
+    fields_from_potentials,
+    helmholtz_decompose,
     spectral_gradient,
 )
 
@@ -394,35 +390,23 @@ def two_field_energy(
 
 @dataclass
 class ModeAmplitudeSet:
-    """Complex mode amplitudes: one family ``a`` of shape (N, 4), indexed by
-    polarization (0 scalar, 1-2 transverse, 3 longitudinal); the optional
-    family ``b`` switches the set to the two-field model."""
+    """Complex mode amplitudes ``a`` of shape (N, 4), indexed by polarization
+    (0 scalar, 1-2 transverse, 3 longitudinal)."""
 
     modes: ModeSet
     a: np.ndarray
-    b: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.a = np.asarray(self.a, dtype=complex)
         expected = (self.modes.n_modes, 4)
         if self.a.shape != expected:
             raise ValueError(f"amplitudes must have shape {expected}, got {self.a.shape}")
-        if self.b is not None:
-            self.b = np.asarray(self.b, dtype=complex)
-            if self.b.shape != expected:
-                raise ValueError(f"amplitudes must have shape {expected}, got {self.b.shape}")
-
-    @classmethod
-    def zeros(cls, ms: ModeSet, two_field: bool = False) -> "ModeAmplitudeSet":
-        shape = (ms.n_modes, 4)
-        return cls(ms, np.zeros(shape, complex), np.zeros(shape, complex) if two_field else None)
 
 
 def free_evolve_modes(amp: ModeAmplitudeSet, t: float, units: UnitSystem) -> ModeAmplitudeSet:
     """Free evolution: every amplitude picks up exp(-i omega_k t)."""
     phase = np.exp(-1j * amp.modes.omega(units) * t)[:, None]
-    b = None if amp.b is None else amp.b * phase
-    return ModeAmplitudeSet(amp.modes, amp.a * phase, b)
+    return ModeAmplitudeSet(amp.modes, amp.a * phase)
 
 
 # --- synthesis on grids and integral observables -------------------------------
@@ -459,15 +443,13 @@ def synthesize_potentials(
     theta,
     grid: Grid3,
     units: UnitSystem,
-    hbar: float = 1.0,
 ) -> tuple[PotentialPair, PotentialPair]:
     """Real-space potential pair and its time derivative at t = 0.
 
-    One-field model: A^mu = cos(theta) X^mu and C^mu = c sin(theta) X^mu
-    with X^mu = sum_k N_k [sum_lambda a eps^mu exp(ik.x) + c.c.]; the
-    subsidiary condition then holds identically.  Two-field model: A from
-    the ``a`` family (weight 1) and C from ``b`` (weight c).  The ModeSet
-    box volume must match the synthesis grid.
+    A^mu = cos(theta) X^mu and C^mu = c sin(theta) X^mu with
+    X^mu = sum_k N_k [sum_lambda a eps^mu exp(ik.x) + c.c.], so the
+    subsidiary condition holds identically.  The ModeSet box volume must
+    match the synthesis grid.
     """
     ms = amp.modes
     if ms.is_lattice:
@@ -478,34 +460,18 @@ def synthesize_potentials(
         )
     t = _angle(theta)
     bins = _grid_bins(ms, grid)
-    eps = _polarization_four_vectors(ms)
     omega = ms.omega(units)
-    N_k = np.sqrt(hbar / (2.0 * units.eps0 * omega * ms.box_volume))
+    N_k = np.sqrt(1.0 / (2.0 * units.eps0 * omega * ms.box_volume))
     n_cells = grid.n[0] * grid.n[1] * grid.n[2]
-
-    def spectra(amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        coeff = np.einsum("ml,mlu->mu", amplitudes, eps) * N_k[:, None]  # (N, 4)
-        S = np.zeros((4,) + grid.shape, dtype=complex)
-        S_dt = np.zeros((4,) + grid.shape, dtype=complex)
-        pos = tuple(bins.T)
-        neg = tuple((-bins % np.asarray(grid.n)[None, :]).T)
-        for mu in range(4):
-            np.add.at(S[mu], pos, n_cells * coeff[:, mu])
-            np.add.at(S[mu], neg, n_cells * np.conj(coeff[:, mu]))
-            np.add.at(S_dt[mu], pos, n_cells * (-1j * omega) * coeff[:, mu])
-            np.add.at(S_dt[mu], neg, n_cells * np.conj((-1j * omega) * coeff[:, mu]))
-        half = grid.n[2] // 2 + 1
-        return _to_grid(S[..., :half]), _to_grid(S_dt[..., :half])
-
-    X, X_dt = spectra(amp.a)
-    if amp.b is None:
-        A, A_dt = math.cos(t) * X, math.cos(t) * X_dt
-        C, C_dt = units.c * math.sin(t) * X, units.c * math.sin(t) * X_dt
-    else:
-        Y, Y_dt = spectra(amp.b)
-        A, A_dt = X, X_dt
-        C, C_dt = units.c * Y, units.c * Y_dt
-    return PotentialPair(A, C), PotentialPair(A_dt, C_dt)
+    coeff = np.einsum("ml,mlu->mu", amp.a, _polarization_four_vectors(ms)) * N_k[:, None]
+    # rows: X^mu, then dX^mu/dt; every mode and its conjugate partner in one call each
+    rows = np.concatenate([coeff.T, (-1j * omega) * coeff.T])
+    S = np.zeros((8,) + grid.shape, dtype=complex)
+    np.add.at(S, (slice(None), *bins.T), n_cells * rows)
+    np.add.at(S, (slice(None), *(-bins % np.asarray(grid.n)).T), n_cells * np.conj(rows))
+    X = _to_grid(S[..., : grid.n[2] // 2 + 1])
+    A, C = math.cos(t) * X, units.c * math.sin(t) * X
+    return PotentialPair(A[:4], C[:4]), PotentialPair(A[4:], C[4:])
 
 
 def _lorentz_contract(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -517,6 +483,19 @@ def _abs_contract(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return sum(np.abs(x[nu] * y[nu]) for nu in range(4))
 
 
+def _dual_density(
+    dA: np.ndarray, dC: np.ndarray, potentials: PotentialPair, units: UnitSystem
+) -> tuple[np.ndarray, np.ndarray]:
+    """Component f_mu of ``noether_dual_current`` and its scale, for the one
+    derivative direction of ``dA`` = d_mu A^nu and ``dC`` = d_mu C^nu."""
+    coef1 = 1.0 / (units.c * units.mu0)
+    coef2 = units.c * units.eps0
+    f = (-coef1 * _lorentz_contract(dA, potentials.C)
+         + coef2 * _lorentz_contract(dC, potentials.A))
+    scale = coef1 * _abs_contract(dA, potentials.C) + coef2 * _abs_contract(dC, potentials.A)
+    return f, scale
+
+
 def noether_dual_charge(
     potentials: PotentialPair,
     dpotentials_dt: PotentialPair,
@@ -525,23 +504,19 @@ def noether_dual_charge(
 ) -> tuple[float, float]:
     """Conserved charge of the dual rotation and its magnitude scale.
 
-    Returns (value, scale) with
+    Returns (value, scale) with value the integral of f_0 / c, i.e.
 
         value = -eps0 * integral[ (d0 A^nu) C_nu - (d0 C^nu) A_nu ]
 
-    and scale the same integral with every product replaced by its absolute
-    value, suitable for forming a relative residual.  With the subsidiary
-    condition satisfied the integrand cancels pointwise.
+    and scale the integral of the density's scale field over c, suitable
+    for forming a relative residual.  With the subsidiary condition
+    satisfied the integrand cancels pointwise.
     """
-    d0A = dpotentials_dt.A / units.c
-    d0C = dpotentials_dt.C / units.c
-    term1 = _lorentz_contract(d0A, potentials.C)
-    term2 = _lorentz_contract(d0C, potentials.A)
-    value = -units.eps0 * float(np.sum(term1 - term2)) * grid.cell_volume
-    scale = units.eps0 * float(
-        np.sum(_abs_contract(d0A, potentials.C) + _abs_contract(d0C, potentials.A))
-    ) * grid.cell_volume
-    return value, scale
+    f0, scale0 = _dual_density(
+        dpotentials_dt.A / units.c, dpotentials_dt.C / units.c, potentials, units
+    )
+    volume = grid.cell_volume / units.c
+    return float(np.sum(f0)) * volume, float(np.sum(scale0)) * volume
 
 
 def noether_dual_current(
@@ -558,49 +533,29 @@ def noether_dual_current(
     c^2 eps0 = 1/mu0.
     """
     c = units.c
-    coef1 = 1.0 / (c * units.mu0)
-    coef2 = c * units.eps0
-    f = np.zeros((4,) + grid.shape)
-    scale = np.zeros((4,) + grid.shape)
-
-    dA = [dpotentials_dt.A / c] + [None, None, None]
-    dC = [dpotentials_dt.C / c] + [None, None, None]
-    gradA = np.stack([spectral_gradient(potentials.A[nu], grid) for nu in range(4)])
-    gradC = np.stack([spectral_gradient(potentials.C[nu], grid) for nu in range(4)])
-    for axis in range(3):
-        dA[1 + axis] = gradA[:, axis]
-        dC[1 + axis] = gradC[:, axis]
-
-    for mu in range(4):
-        f[mu] = -coef1 * _lorentz_contract(dA[mu], potentials.C) + coef2 * _lorentz_contract(
-            dC[mu], potentials.A
-        )
-        scale[mu] = coef1 * _abs_contract(dA[mu], potentials.C) + coef2 * _abs_contract(
-            dC[mu], potentials.A
-        )
-    return f, scale
+    gradA = spectral_gradient(potentials.A, grid)  # (nu, axis, ...)
+    gradC = spectral_gradient(potentials.C, grid)
+    parts = [_dual_density(dpotentials_dt.A / c, dpotentials_dt.C / c, potentials, units)]
+    parts += [_dual_density(gradA[:, axis], gradC[:, axis], potentials, units) for axis in range(3)]
+    return np.stack([f for f, _ in parts]), np.stack([scale for _, scale in parts])
 
 
 def spin_observable(
-    E_perp: VectorField,
-    B_perp: VectorField,
-    A_perp: VectorField,
-    C_perp: VectorField,
+    potentials: PotentialPair,
+    dpotentials_dt: PotentialPair,
+    grid: Grid3,
     units: UnitSystem,
 ) -> np.ndarray:
     """Field spin eps0 * integral(E_T x A_T + B_T x C_T); helicity is |S|.
 
-    All four inputs must be transverse; a longitudinal fraction above 1e-10
-    raises ``NotTransverseError`` (zero fields pass).
+    E and B come from ``fields_from_potentials``; the transverse parts of E,
+    B and the spatial A and C are taken here, so longitudinal and gauge
+    parts of the inputs do not contribute.
     """
-    grid = E_perp.grid
-    for name, field in (("E", E_perp), ("B", B_perp), ("A", A_perp), ("C", C_perp)):
-        if field.grid != grid:
-            raise GridMismatchError("spin inputs live on different grids")
-        if longitudinal_fraction(field) > 1e-10:
-            raise NotTransverseError(f"{name} has a longitudinal component")
-    cross = np.cross(E_perp.data, A_perp.data, axis=0) + np.cross(
-        B_perp.data, C_perp.data, axis=0
+    fp = fields_from_potentials(potentials, dpotentials_dt, grid, units)
+    E_T, B_T, A_T, C_T = (
+        helmholtz_decompose(VectorField(grid, v))[0].data
+        for v in (fp.E, fp.B, potentials.A[1:], potentials.C[1:])
     )
+    cross = np.cross(E_T, A_T, axis=0) + np.cross(B_T, C_T, axis=0)
     return units.eps0 * np.sum(cross, axis=(1, 2, 3)) * grid.cell_volume
-

@@ -32,11 +32,8 @@ from dualfield.dynamics import (
 from dualfield.fields import (
     Grid3,
     PointSource,
-    VectorField,
     coulomb_field_from_density,
     deposit_sources,
-    fields_from_potentials,
-    helmholtz_decompose,
 )
 from dualfield.maxwell import EMState, dual_covariance_residual
 from dualfield.modes import (
@@ -232,13 +229,7 @@ def test_criterion_6_out_of_plane_discriminator():
 
 
 def _spin_from_modes(amp, theta, grid):
-    pp, dpp = synthesize_potentials(amp, theta, grid, NAT)
-    fp = fields_from_potentials(pp, dpp, grid, NAT)
-    E_T, _ = helmholtz_decompose(VectorField(grid, fp.E))
-    B_T, _ = helmholtz_decompose(VectorField(grid, fp.B))
-    A_T, _ = helmholtz_decompose(VectorField(grid, pp.A[1:]))
-    C_T, _ = helmholtz_decompose(VectorField(grid, pp.C[1:]))
-    return (E_T, B_T, A_T, C_T), spin_observable(E_T, B_T, A_T, C_T, NAT)
+    return spin_observable(*synthesize_potentials(amp, theta, grid, NAT), grid, NAT)
 
 
 def test_criterion_7_helicity_and_spin():
@@ -254,27 +245,22 @@ def test_criterion_7_helicity_and_spin():
         return ModeAmplitudeSet(ms, a), ms
 
     amp_plus, ms = helicity_amp(+1.0)
-    _, S_plus = _spin_from_modes(amp_plus, 0.3, grid)
+    S_plus = _spin_from_modes(amp_plus, 0.3, grid)
     np.testing.assert_allclose(S_plus, w**2 * ms.khat[0], rtol=1e-12, atol=1e-14)
     amp_minus, _ = helicity_amp(-1.0)
-    _, S_minus = _spin_from_modes(amp_minus, 0.3, grid)
+    S_minus = _spin_from_modes(amp_minus, 0.3, grid)
     np.testing.assert_allclose(S_minus, -(w**2) * ms.khat[0], rtol=1e-12, atol=1e-14)
 
     linear = ModeAmplitudeSet(ms, np.array([[0.0, w, 0.0, 0.0]], dtype=complex))
-    _, S_linear = _spin_from_modes(linear, 0.3, grid)
+    S_linear = _spin_from_modes(linear, 0.3, grid)
     assert np.max(np.abs(S_linear)) < 1e-14
 
-    (E_T, B_T, A_T, C_T), S = _spin_from_modes(amp_plus, 0.3, grid)
+    pp, dpp = synthesize_potentials(amp_plus, 0.3, grid, NAT)
+    S = spin_observable(pp, dpp, grid, NAT)
     worst_rotation = 0.0
     for phi in (0.4, math.pi / 2, 2.0):
-        fp = inverse_rotate_fields(FieldVecPair(E_T.data, B_T.data), phi, NAT)
-        four_A = np.concatenate([np.zeros((1,) + grid.shape), A_T.data])
-        four_C = np.concatenate([np.zeros((1,) + grid.shape), C_T.data])
-        pp = rotate_potentials(PotentialPair(four_A, four_C), phi, NAT)
-        S_rot = spin_observable(
-            VectorField(grid, fp.E), VectorField(grid, fp.B),
-            VectorField(grid, pp.A[1:]), VectorField(grid, pp.C[1:]), NAT,
-        )
+        S_rot = spin_observable(rotate_potentials(pp, phi, NAT), rotate_potentials(dpp, phi, NAT),
+                                grid, NAT)
         worst_rotation = max(worst_rotation, float(np.max(np.abs(S_rot - S)) / np.max(np.abs(S))))
     assert worst_rotation < 1e-12
 
@@ -283,11 +269,11 @@ def test_criterion_7_helicity_and_spin():
     a = np.zeros((ms_many.n_modes, 4), dtype=complex)
     a[:, 1:3] = rng.normal(size=(ms_many.n_modes, 2)) + 1j * rng.normal(size=(ms_many.n_modes, 2))
     amp = ModeAmplitudeSet(ms_many, a)
-    _, S0 = _spin_from_modes(amp, 0.5, grid)
+    S0 = _spin_from_modes(amp, 0.5, grid)
     h0 = float(np.linalg.norm(S0))
     drift = 0.0
     for t in (0.9, 3.7, 12.0):
-        _, S_t = _spin_from_modes(free_evolve_modes(amp, t, NAT), 0.5, grid)
+        S_t = _spin_from_modes(free_evolve_modes(amp, t, NAT), 0.5, grid)
         drift = max(drift, abs(float(np.linalg.norm(S_t)) - h0) / h0)
     assert drift < 1e-10
     announce(7, "helicity-and-spin",

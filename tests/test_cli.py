@@ -286,6 +286,18 @@ def test_failed_check_exits_three(tmp_path):
     assert read_summary(out)["status"] == "fail"
 
 
+def test_two_field_cross_judges_small_energies_by_their_ratio(tmp_path):
+    # a coarse lattice misses the unit-charge energies by about 24%; charges
+    # of 1e-8 give the same relative miss on energies near 1e-18
+    overrides = ["source.1.qe=1e-8", "source.1.qm=0.3e-8", "source.2.qe=-0.4e-8",
+                 "source.2.qm=0.8e-8", "modes.dk_r=3", "modes.kmax_sigma=1"]
+    out = tmp_path / "out"
+    code = cli.main(["run", write_cfg(tmp_path, BASE["cross"]), "--out", str(out)]
+                    + [arg for item in overrides for arg in ("--override", item)])
+    assert code == 3
+    assert float(read_summary(out)["ee_rel_difference"]) > 0.2
+
+
 @pytest.mark.parametrize(
     "key,override,code",
     [
@@ -318,6 +330,12 @@ def test_failed_check_exits_three(tmp_path):
         ("rotation", "checks.max_residual=-1", 1),
         ("cross", "checks.max_em=-1", 1),
         ("flyby", "checks.max_quantum_ratio=-1", 1),
+        ("noether", "units.c=1e200", 1),
+        ("helicity", "units.c=1e200", 1),
+        ("rotation", "units.c=1e-300", 1),
+        ("covariance", "units.c=1e-300", 1),
+        ("noether", "units.c=1e-300", 1),
+        ("rotation", "units.eps0=1e-320", 1),
     ],
 )
 def test_invalid_inputs_exit_with_their_code_not_a_traceback(tmp_path, capsys, key, override, code):

@@ -121,13 +121,20 @@ def test_charge_rotation_overflow_raises_non_finite_input():
 
 @pytest.mark.parametrize(
     "pair, quarter_turns",
-    [((1.0, 1.0), 0.5), ((-1.0, 1.0), 1.5), ((-1.0, -1.0), 2.5), ((1.0, -1.0), 3.5)],
+    [((1.0, 1.0), 0.5), ((-1.0, 1.0), 1.5), ((-1.0, -1.0), -1.5), ((1.0, -1.0), -0.5)],
 )
 def test_asymmetrizing_angle_lies_in_one_turn(pair, quarter_turns):
     theta = asymmetrizing_angle(ChargePair(*pair), NAT)
     assert isinstance(theta, float)
-    assert 0.0 <= theta < 2.0 * math.pi
+    assert -math.pi <= theta <= math.pi
     assert theta == pytest.approx(quarter_turns * math.pi / 2)
+
+
+def test_tiny_negative_angles_are_not_rounded_to_a_full_turn():
+    # % 2 pi would turn -1e-17 into the float 2 pi, whose sine is -2.4e-16
+    cp = ChargePair(1.0, -1e-17)
+    assert rotate_charges(cp, asymmetrizing_angle(cp, NAT), NAT) == ChargePair(1.0, 0.0)
+    assert rotate_charges(cp, -1e-17, NAT).qm == 0.0
 
 
 def same_bits(a, b):
@@ -149,7 +156,7 @@ def test_dual_maps_equal_their_docstring_formulas_bitwise(units):
         return values * rng.choice([-1.0, 1.0], n)  # zeros of both signs
 
     for theta in [0.0, math.pi / 2, math.pi, *rng.uniform(-10.0, 10.0, 20)]:
-        t = theta % (2.0 * math.pi)
+        t = math.fmod(theta, 2.0 * math.pi)
         ct, st = math.cos(t), math.sin(t)
         E, B = draw(12).reshape(3, 4), draw(12).reshape(3, 4)
         A, C = draw(16).reshape(4, 4), draw(16).reshape(4, 4)
@@ -174,7 +181,7 @@ def test_unit_system_keeps_permeability_consistent():
         assert units.mu0 * units.eps0 * units.c**2 == pytest.approx(1.0, rel=1e-15)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, 1e200, 1e-300])
 def test_unit_system_rejects_bad_light_speed(bad):
     with pytest.raises(ValueError):
         UnitSystem(c=bad)

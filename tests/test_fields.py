@@ -29,7 +29,6 @@ from dualfield.fields import (
     fields_from_potentials,
     helmholtz_decompose,
     load_field,
-    longitudinal_fraction,
     point_magnetic_field,
     save_field,
     source_spectra,
@@ -229,16 +228,17 @@ def test_gradient_fields_are_longitudinal():
 def test_curl_fields_are_transverse():
     grid = cube(16)
     field = random_vector_field(grid, 3)
-    curl = spectral_curl(field.data, grid)
-    assert longitudinal_fraction(VectorField(grid, curl)) < 1e-13
+    curl = VectorField(grid, spectral_curl(field.data, grid))
+    assert helmholtz_decompose(curl)[1].l2norm() < 1e-13 * curl.l2norm()
 
 
 def test_uniform_field_counts_as_longitudinal():
     grid = cube(8)
     data = np.zeros((3,) + grid.shape)
     data[2] = 1.0
-    assert helmholtz_decompose(VectorField(grid, data))[0].l2norm() == pytest.approx(0.0)
-    assert longitudinal_fraction(VectorField(grid, data)) == pytest.approx(1.0)
+    uniform = VectorField(grid, data)
+    assert helmholtz_decompose(uniform)[0].l2norm() == pytest.approx(0.0)
+    assert helmholtz_decompose(uniform)[1].l2norm() == pytest.approx(uniform.l2norm())
 
 
 # --- source deposits -------------------------------------------------------------
@@ -463,17 +463,21 @@ def test_fft_is_called_only_by_the_spectral_helpers():
     assert helpers == {"_to_spectrum": ["rfftn"], "_to_grid": ["irfftn"]}
 
 
+def _called(func):
+    """``name`` or ``module.name`` of a call target, None for other targets."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return f"{func.value.id}.{func.attr}"
+    return None
+
+
 def _callers(path, wanted):
-    """Top-level definitions in ``path`` that call one of ``wanted`` (``module.name``)."""
+    """Top-level definitions in ``path`` that call one of ``wanted``
+    (``name`` or ``module.name``)."""
     found = {}
     for stmt in ast.parse(path.read_text()).body:
-        calls = {
-            f"{n.func.value.id}.{n.func.attr}"
-            for n in ast.walk(stmt)
-            if isinstance(n, ast.Call)
-            and isinstance(n.func, ast.Attribute)
-            and isinstance(n.func.value, ast.Name)
-        }
+        calls = {_called(n.func) for n in ast.walk(stmt) if isinstance(n, ast.Call)}
         if calls & wanted:
             found[getattr(stmt, "name", None)] = sorted(calls & wanted)
     return found
@@ -485,6 +489,22 @@ def test_dual_rotation_and_force_law_are_written_once():
     assert trig == {"_rotate": ["math.cos", "math.sin"]}
     cross = _callers(package / "dynamics.py", {"np.cross"})
     assert cross == {"quantum_lorentz_force": ["np.cross"], "plane_normal": ["np.cross"]}
+
+
+def test_mode_observables_are_written_once():
+    package = Path(dualfield.__file__).parent
+    modes_source = package / "modes.py"
+    contract = _callers(modes_source, {"_lorentz_contract", "_abs_contract"})
+    assert contract == {"_dual_density": ["_abs_contract", "_lorentz_contract"]}
+    spin = {}
+    for path in sorted(package.glob("*.py")):
+        spin.update(_callers(path, {"helmholtz_decompose", "fields_from_potentials"}))
+    assert spin == {"spin_observable": ["fields_from_potentials", "helmholtz_decompose"]}
+    add_at = [
+        n for n in ast.walk(ast.parse(modes_source.read_text()))
+        if isinstance(n, ast.Call) and ast.unparse(n.func) == "np.add.at"
+    ]
+    assert len(add_at) == 2
 
 
 # Public names kept although no scenario, no other module and no acceptance

@@ -10,16 +10,9 @@ from dualfield.errors import (
     AliasingError,
     CoincidentSourcesError,
     GridMismatchError,
-    NotTransverseError,
     SharedRatioError,
 )
-from dualfield.fields import (
-    Grid3,
-    PointSource,
-    VectorField,
-    fields_from_potentials,
-    helmholtz_decompose,
-)
+from dualfield.fields import Grid3, PointSource, spectral_gradient
 from dualfield import modes
 from dualfield.modes import (
     ModeAmplitudeSet,
@@ -252,7 +245,7 @@ def test_amplitude_shape_validation():
     with pytest.raises(ValueError):
         ModeAmplitudeSet(ms, np.zeros((2, 4), dtype=complex))
     with pytest.raises(ValueError):
-        ModeAmplitudeSet(ms, np.zeros((1, 4), dtype=complex), np.zeros((1, 3), dtype=complex))
+        ModeAmplitudeSet(ms, np.zeros((1, 3), dtype=complex))
 
 
 def test_free_evolution_phases_and_composition():
@@ -321,27 +314,31 @@ def test_synthesis_angle_splits_the_two_potentials():
     assert np.max(np.abs(quarter.A)) < 1e-15
 
 
+def zero_amp(ms):
+    return ModeAmplitudeSet(ms, np.zeros((ms.n_modes, 4)))
+
+
 def test_synthesis_of_zero_amplitudes_is_zero():
     grid = cube(8)
     ms = ModeSet.from_grid(grid, kmax=2.5)
-    pp, dpp = synthesize_potentials(ModeAmplitudeSet.zeros(ms), 0.3, grid, NAT)
+    pp, dpp = synthesize_potentials(zero_amp(ms), 0.3, grid, NAT)
     assert np.max(np.abs(pp.A)) == 0.0 and np.max(np.abs(pp.C)) == 0.0
     assert np.max(np.abs(dpp.A)) == 0.0
 
 
 def test_synthesis_rejects_off_bin_and_aliased_modes():
     grid = cube(8)
-    off_bin = ModeAmplitudeSet.zeros(ModeSet.from_kvecs(np.array([[0.5, 0.0, 0.0]]), dk=1.0))
+    off_bin = zero_amp(ModeSet.from_kvecs(np.array([[0.5, 0.0, 0.0]]), dk=1.0))
     with pytest.raises(AliasingError):
         synthesize_potentials(off_bin, 0.0, grid, NAT)
-    aliased = ModeAmplitudeSet.zeros(ModeSet.from_kvecs(np.array([[4.0, 0.0, 0.0]]), dk=1.0))
+    aliased = zero_amp(ModeSet.from_kvecs(np.array([[4.0, 0.0, 0.0]]), dk=1.0))
     with pytest.raises(AliasingError):
         synthesize_potentials(aliased, 0.0, grid, NAT)
 
 
 def test_synthesis_requires_matching_box_volume():
     grid = cube(8, L=math.pi)
-    amp = ModeAmplitudeSet.zeros(ModeSet.from_kvecs(np.array([[1.0, 0.0, 0.0]]), dk=1.0))
+    amp = zero_amp(ModeSet.from_kvecs(np.array([[1.0, 0.0, 0.0]]), dk=1.0))
     with pytest.raises(GridMismatchError):
         synthesize_potentials(amp, 0.0, grid, NAT)
 
@@ -402,13 +399,7 @@ def helicity_amp(grid, kint, w, sign=+1.0):
 
 
 def spin_from_amp(amp, theta, grid, units=NAT):
-    pp, dpp = synthesize_potentials(amp, theta, grid, units)
-    fp = fields_from_potentials(pp, dpp, grid, units)
-    E_T, _ = helmholtz_decompose(VectorField(grid, fp.E))
-    B_T, _ = helmholtz_decompose(VectorField(grid, fp.B))
-    A_T, _ = helmholtz_decompose(VectorField(grid, pp.A[1:]))
-    C_T, _ = helmholtz_decompose(VectorField(grid, pp.C[1:]))
-    return spin_observable(E_T, B_T, A_T, C_T, units)
+    return spin_observable(*synthesize_potentials(amp, theta, grid, units), grid, units)
 
 
 @pytest.mark.parametrize("kint", [(1, 0, 0), (0, 2, 1)])
@@ -456,20 +447,21 @@ def test_spin_is_conserved_under_free_evolution():
         assert abs(h - h0) / h0 < 1e-10
 
 
-def test_spin_rejects_longitudinal_inputs():
-    grid = cube(8)
-    data = np.zeros((3,) + grid.shape)
-    x = grid.axes()[0][:, None, None] * np.ones(grid.shape)
-    data[0] = np.sin(x)  # gradient-like: k along x, vector along x
-    longitudinal = VectorField(grid, data)
-    zero = VectorField(grid, np.zeros((3,) + grid.shape))
-    with pytest.raises(NotTransverseError):
-        spin_observable(longitudinal, zero, zero, zero, NAT)
+def test_spin_ignores_a_static_gauge_gradient():
+    grid = cube(16)
+    amp, _ = helicity_amp(grid, (0, 2, 1), 0.7)
+    pp, dpp = synthesize_potentials(amp, 0.4, grid, NAT)
+    S = spin_observable(pp, dpp, grid, NAT)
+    x, y, z = np.meshgrid(*grid.axes(), indexing="ij")
+    chi = 0.02 * np.cos(x + 2.0 * y) + 0.01 * np.sin(3.0 * z - y)  # |grad chi| ~ |A|
+    A = pp.A.copy()
+    A[1:] += spectral_gradient(chi, grid)
+    S_gauge = spin_observable(PotentialPair(A, pp.C), dpp, grid, NAT)
+    assert np.max(np.abs(S_gauge - S)) <= 1e-14 * np.max(np.abs(S))
 
 
 def test_spin_rejects_mismatched_grids():
-    zero8 = VectorField(cube(8), np.zeros((3, 8, 8, 8)))
-    zero16 = VectorField(cube(16), np.zeros((3, 16, 16, 16)))
+    zero16 = PotentialPair(np.zeros((4, 16, 16, 16)), np.zeros((4, 16, 16, 16)))
     with pytest.raises(GridMismatchError):
-        spin_observable(zero8, zero16, zero8, zero8, NAT)
+        spin_observable(zero16, zero16, cube(8), NAT)
 
