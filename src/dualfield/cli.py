@@ -56,6 +56,7 @@ from .maxwell import (
     step_symmetric_maxwell,
 )
 from .dynamics import (
+    SPEED_GUARD_FRACTION,
     MonopoleSampler,
     ParticleState,
     in_plane_span,
@@ -180,7 +181,7 @@ class ScenarioConfig:
         try:
             return Grid3(tuple(int(v) for v in n), tuple(L))
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"[grid] n and [grid] L: {exc}") from exc
 
     def modes(self) -> tuple[Grid3, ModeSet]:
         """Grid (16 cells per axis by default) and its modes with
@@ -638,6 +639,9 @@ def run_monopole_flyby(cfg: ScenarioConfig, outdir: Path) -> Checks:
     min_classical = cfg.get_float("checks", "min_classical_ratio", 1e-2, above=0)
     max_quantum = cfg.get_float("checks", "max_quantum_ratio", 1e-8, at_least=0)
     cfg.check_all_read()
+    if not float(np.linalg.norm(velocity)) < SPEED_GUARD_FRACTION * units.c:
+        raise ConfigError(f"[particle] velocity must be slower than the pusher's speed guard "
+                          f"{SPEED_GUARD_FRACTION} c, got {velocity}")
 
     sampler = MonopoleSampler(monopole_qm, monopole_pos, units)
     try:
@@ -653,7 +657,8 @@ def run_monopole_flyby(cfg: ScenarioConfig, outdir: Path) -> Checks:
         trajectory.to_csv(outdir / f"trajectory_{model}.csv", plane_normal=normal)
         disp, _ = out_of_plane_component(trajectory, normal)
         span = in_plane_span(trajectory, normal)
-        ratios[model] = float(np.max(np.abs(disp)) / span)
+        # a run stopped before its first step spans nothing: the ratio is undefined
+        ratios[model] = float(np.max(np.abs(disp))) / span if span > 0.0 else math.nan
         checks.record(f"{model}_steps", len(trajectory) - 1)
         checks.record(f"{model}_termination", trajectory.termination or "completed")
         checks.record(f"{model}_in_plane_span", span)

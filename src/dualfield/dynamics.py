@@ -127,8 +127,6 @@ class Trajectory:
     x: np.ndarray
     v: np.ndarray
     force: np.ndarray
-    charges: ChargePair
-    mass: float
     termination: str | None = None
 
     def __len__(self) -> int:
@@ -210,8 +208,6 @@ def push_particle(
         x=np.asarray(xs),
         v=np.asarray(vs),
         force=np.asarray(forces),
-        charges=particle.charges,
-        mass=m,
         termination=termination,
     )
 

@@ -14,6 +14,10 @@ y in ``np.fft.fftfreq`` order.  Spectra are Nyquist-free: the Nyquist mode
 of an axis has no Hermitian partner, so on that axis's Nyquist plane
 ``_kgrid`` gives the axis's wavenumber component as zero (odd derivatives
 along the axis vanish there), and source spectra are zero on the plane.
+A grid sum of a product of two real fields is the Parseval sum
+``sum w Re(conj(f) g) / N`` over the half spectrum, with ``w = 1`` on the
+planes kz = 0 and kz = nz/2 and ``w = 2`` elsewhere.  ``_transverse_hat``
+is the one transverse projector; it acts on half spectra.
 
 Sources are Gaussian-smeared point carriers.  Deposition synthesizes the
 periodic image sum of the Gaussian directly from its analytic spectrum,
@@ -24,12 +28,13 @@ solves and spectral source injection mutually consistent.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .dualcore import ChargePair, FieldVecPair, PotentialPair, UnitSystem
+from .dualcore import ChargePair, UnitSystem
 from .errors import (
     GridMismatchError,
     SharedRatioError,
@@ -43,7 +48,12 @@ _MAGIC = b"DFLD0001"
 
 @dataclass(frozen=True)
 class Grid3:
-    """Uniform periodic grid: n cells per axis spanning a box of size L."""
+    """Uniform periodic grid: n cells per axis spanning a box of size L.
+
+    Per axis, the smallest and largest wavenumbers 2 pi / L and pi n / L must
+    have normal squares, and so must the sums of those squares over the axes,
+    so no spectral formula of the package overflows or divides by zero.
+    """
 
     n: tuple[int, int, int]
     L: tuple[float, float, float]
@@ -59,6 +69,13 @@ class Grid3:
         for v in self.L:
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"box lengths must be positive, got {self.L}")
+        lo, hi = sys.float_info.min, sys.float_info.max
+        for k in ([2.0 * math.pi / L for L in self.L],
+                  [math.pi * n / L for n, L in zip(self.n, self.L)]):
+            squares = [v * v for v in k]
+            if not all(lo <= v <= hi for v in squares + [sum(squares)]):
+                raise ValueError(f"box lengths {self.L} give wavenumbers {k} whose squares "
+                                 "or square sums are not normal floats")
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -184,7 +201,9 @@ class PointSource:
         """Source moved ballistically by dt, optionally wrapped into the box."""
         pos = self.position + dt * self.velocity
         if box is not None:
-            pos = np.mod(pos, np.asarray(box))
+            box = np.asarray(box)
+            pos = np.mod(pos, box)
+            pos[pos == box] = 0.0  # np.mod rounds a tiny negative up to L
         return replace(self, position=pos)
 
 
@@ -305,58 +324,28 @@ def spectral_divergence(data: np.ndarray, grid: Grid3) -> np.ndarray:
     return _to_grid(terms[0] + terms[1] + terms[2])
 
 
-def spectral_curl(data: np.ndarray, grid: Grid3) -> np.ndarray:
-    """Curl of a real vector grid array, shape (3, nx, ny, nz)."""
-    return _to_grid(_curl_hat(_kgrid(grid), _to_spectrum(data)))
+def _transverse_hat(hat: np.ndarray, grid: Grid3) -> np.ndarray:
+    """Transverse part of vector half spectra, shape (..., 3, nx, ny, nz // 2 + 1).
 
-
-def fields_from_potentials(
-    potentials: PotentialPair,
-    dpotentials_dt: PotentialPair,
-    grid: Grid3,
-    units: UnitSystem,
-) -> FieldVecPair:
-    """Field strengths of a gridded potential pair and its time derivative.
-
-    E = -(dA/dt + c grad A0 + curl C);  B = -(dC/dt / c^2 + grad C0 / c - curl A),
-    with A0, C0 the time components and A, C the spatial parts.
+    The spatial mean (k = 0 component) is longitudinal and is dropped; the
+    Nyquist corners, whose Nyquist-free wavevector is also zero, stay whole.
     """
-    expected = (4,) + grid.shape
-    for name, arr in (("potentials", potentials.A), ("dpotentials_dt", dpotentials_dt.A)):
-        if arr.shape != expected:
-            raise GridMismatchError(f"{name} shape {arr.shape} does not match grid {expected}")
-    c = units.c
-    E = -(
-        dpotentials_dt.A[1:]
-        + c * spectral_gradient(potentials.A[0], grid)
-        + spectral_curl(potentials.C[1:], grid)
-    )
-    B = -(
-        dpotentials_dt.C[1:] / c**2
-        + spectral_gradient(potentials.C[0], grid) / c
-        - spectral_curl(potentials.A[1:], grid)
-    )
-    return FieldVecPair(E=E, B=B)
+    k = _kgrid(grid)
+    k2 = _ksquared(grid)
+    kdotv = sum(k[axis] * hat[..., axis, :, :, :] for axis in range(3))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        proj = np.where(k2 > 0, kdotv / np.where(k2 > 0, k2, 1.0), 0.0)
+    trans = hat - k * proj[..., None, :, :, :]
+    trans[..., 0, 0, 0] = 0.0
+    return trans
 
 
 def helmholtz_decompose(field: VectorField) -> tuple[VectorField, VectorField]:
-    """Split a vector field into (transverse, longitudinal) parts.
-
-    The spatial mean (k = 0 component) is assigned to the longitudinal part;
-    the Nyquist corners, whose Nyquist-free wavevector is also zero, to the
-    transverse part.
-    """
+    """Split a vector field into (transverse, longitudinal) parts by ``_transverse_hat``."""
     grid = field.grid
-    k = _kgrid(grid)
-    k2 = _ksquared(grid)
     hat = _to_spectrum(field.data)
-    kdotv = k[0] * hat[0] + k[1] * hat[1] + k[2] * hat[2]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        proj = np.where(k2 > 0, kdotv / np.where(k2 > 0, k2, 1.0), 0.0)
-    long_hat = k * proj[None]
-    long_hat[:, 0, 0, 0] = hat[:, 0, 0, 0]
-    trans_hat = hat - long_hat
-    return VectorField(grid, _to_grid(trans_hat)), VectorField(grid, _to_grid(long_hat))
+    trans_hat = _transverse_hat(hat, grid)
+    return VectorField(grid, _to_grid(trans_hat)), VectorField(grid, _to_grid(hat - trans_hat))
 
 
 def coulomb_field_from_density(density: ScalarField, prefactor: float) -> VectorField:

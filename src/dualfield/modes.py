@@ -17,6 +17,9 @@ are built from one amplitude family ``a``: the A-potential with weight
 subsidiary condition ``C cos = c A sin`` holds identically.  The two-field
 model (independent A and C) appears only in ``two_field_energy`` and in the
 noether-zero violating configuration, A of one synthesis with C = c A of another.
+The spin of synthesized potentials is diagonal in k, so ``spin_observable``
+stays on the half spectrum: one forward transform, algebraic curls and
+transverse projection, and a Parseval sum in place of the grid integral.
 
 Coulomb energy quadrature
 -------------------------
@@ -59,11 +62,12 @@ from .errors import AliasingError, CoincidentSourcesError, GridMismatchError
 from .fields import (
     Grid3,
     PointSource,
-    VectorField,
+    _curl_hat,
+    _kgrid,
     _to_grid,
+    _to_spectrum,
+    _transverse_hat,
     check_shared_ratio,
-    fields_from_potentials,
-    helmholtz_decompose,
     spectral_gradient,
 )
 
@@ -548,14 +552,24 @@ def spin_observable(
 ) -> np.ndarray:
     """Field spin eps0 * integral(E_T x A_T + B_T x C_T); helicity is |S|.
 
-    E and B come from ``fields_from_potentials``; the transverse parts of E,
-    B and the spatial A and C are taken here, so longitudinal and gauge
-    parts of the inputs do not contribute.
+    One transform of the spatial A, C, dA/dt and dC/dt gives E = -(dA/dt +
+    curl C) and B = curl A - (dC/dt) / c^2 up to gradients, which
+    ``_transverse_hat`` drops with the longitudinal and gauge parts of A and
+    C, so A0 and C0 never enter.  The integral is the half-spectrum Parseval
+    sum of the ``fields`` spectral convention; nothing returns to the grid.
     """
-    fp = fields_from_potentials(potentials, dpotentials_dt, grid, units)
-    E_T, B_T, A_T, C_T = (
-        helmholtz_decompose(VectorField(grid, v))[0].data
-        for v in (fp.E, fp.B, potentials.A[1:], potentials.C[1:])
+    expected = (4,) + grid.shape
+    for name, arr in (("potentials", potentials.A), ("dpotentials_dt", dpotentials_dt.A)):
+        if arr.shape != expected:
+            raise GridMismatchError(f"{name} shape {arr.shape} does not match grid {expected}")
+    k = _kgrid(grid)
+    A, C, dA, dC = _to_spectrum(
+        np.stack([potentials.A[1:], potentials.C[1:], dpotentials_dt.A[1:], dpotentials_dt.C[1:]])
     )
-    cross = np.cross(E_T, A_T, axis=0) + np.cross(B_T, C_T, axis=0)
-    return units.eps0 * np.sum(cross, axis=(1, 2, 3)) * grid.cell_volume
+    E = -(dA + _curl_hat(k, C))
+    B = _curl_hat(k, A) - dC / units.c**2
+    E_T, B_T, A_T, C_T = _transverse_hat(np.stack([E, B, A, C]), grid)
+    cross = np.cross(np.conj(E_T), A_T, axis=0) + np.cross(np.conj(B_T), C_T, axis=0)
+    weight = np.where(np.arange(k.shape[-1]) % (grid.n[2] // 2) == 0, 1.0, 2.0)
+    total = np.sum(weight * cross.real, axis=(1, 2, 3))
+    return units.eps0 * grid.cell_volume / math.prod(grid.n) * total

@@ -112,10 +112,11 @@ def output_files(tmp_path):
 
 
 def named_key(override):
-    """``[section] key`` of an override (``--seed`` sets ``[scenario] seed``)."""
+    """``[section] key`` of an override, of the first one when several are given
+    as ``--override`` flags (``--seed`` sets ``[scenario] seed``)."""
     if override.startswith("--seed"):
         return "[scenario] seed"
-    section, key = override.split("=", 1)[0].rsplit(".", 1)
+    section, key = override.removeprefix("--override ").split("=", 1)[0].rsplit(".", 1)
     return f"[{section}] {key}"
 
 
@@ -336,6 +337,11 @@ def test_two_field_cross_judges_small_energies_by_their_ratio(tmp_path):
         ("covariance", "units.c=1e-300", 1),
         ("noether", "units.c=1e-300", 1),
         ("rotation", "units.eps0=1e-320", 1),
+        ("covariance", "--override grid.L=1e-200 --override grid.n=8 "
+                       "--override evolution.steps=1 --override evolution.dt=1e-210", 1),
+        ("covariance", "--override grid.L=1e200 --override grid.n=8 "
+                       "--override evolution.steps=1", 1),
+        ("helicity", "--override grid.L=1e-200", 1),
     ],
 )
 def test_invalid_inputs_exit_with_their_code_not_a_traceback(tmp_path, capsys, key, override, code):
@@ -370,12 +376,49 @@ def test_invalid_inputs_exit_with_their_code_not_a_traceback(tmp_path, capsys, k
         ("coulomb", "checks.max_rel=inf"),
         ("noether", "checks.min_violating=0"),
         ("flyby", "checks.min_classical_ratio=0"),
+        ("flyby", "particle.velocity=0.2 0 0"),
     ],
 )
 def test_configs_that_measure_nothing_exit_one(tmp_path, capsys, key, override):
     assert run_with(tmp_path, key, override) == 1
     assert named_key(override) in capsys.readouterr().err
     assert output_files(tmp_path) == []
+
+
+def test_a_source_crossing_x_zero_stays_in_the_box(tmp_path):
+    # the wrap used to round the source's tiny negative x up to L, which the
+    # next stepper call rejected as outside the box
+    text = """
+        [scenario]
+        name = dual-covariance
+        [grid]
+        n = 24
+        [evolution]
+        dt = 0.005
+        steps = 200
+        [rotation]
+        thetas = 0.5
+        [source.1]
+        position = 0.05 3 3
+        velocity = -0.05 0 0
+        qe = 1
+        qm = 0
+        sigma = 0.6
+        """
+    assert cli.main(["run", write_cfg(tmp_path, text), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_flyby_stopped_before_its_first_step_records_a_nan_ratio(tmp_path):
+    # the classical particle trips the speed guard on its first step, so its
+    # path spans nothing; the ratio is undefined and the check fails
+    overrides = ["particle.position=-1e-4 1e-4 0", "particle.velocity=0 0 0.05"]
+    out = tmp_path / "out"
+    code = cli.main(["run", write_cfg(tmp_path, BASE["flyby"]), "--out", str(out)]
+                    + [arg for item in overrides for arg in ("--override", item)])
+    assert code == 3
+    summary = read_summary(out)
+    assert summary["classical_steps"] == "0"
+    assert summary["classical_out_of_plane_ratio"] == "nan"
 
 
 def test_a_key_read_under_another_case_counts_as_read(tmp_path):

@@ -281,8 +281,6 @@ def test_out_of_plane_rejects_zero_normal():
         x=np.zeros((1, 3)),
         v=np.zeros((1, 3)),
         force=np.zeros((1, 3)),
-        charges=ChargePair(),
-        mass=1.0,
     )
     with pytest.raises(DegeneratePlaneError):
         out_of_plane_component(traj, np.zeros(3))

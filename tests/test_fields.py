@@ -9,7 +9,7 @@ import pytest
 from scipy.special import erf
 
 import dualfield
-from dualfield.dualcore import ChargePair, PotentialPair, UnitSystem
+from dualfield.dualcore import ChargePair, UnitSystem
 from dualfield.errors import (
     GridMismatchError,
     SharedRatioError,
@@ -22,17 +22,19 @@ from dualfield.fields import (
     PointSource,
     ScalarField,
     VectorField,
+    _curl_hat,
+    _kgrid,
+    _to_grid,
+    _to_spectrum,
     check_shared_ratio,
     coulomb_field_from_density,
     current_spectra,
     deposit_sources,
-    fields_from_potentials,
     helmholtz_decompose,
     load_field,
     point_magnetic_field,
     save_field,
     source_spectra,
-    spectral_curl,
     spectral_divergence,
     spectral_gradient,
 )
@@ -47,6 +49,11 @@ def cube(n, L=TWO_PI):
 
 def meshes(grid):
     return np.meshgrid(*grid.axes(), indexing="ij")
+
+
+def curl(data, grid):
+    """Grid curl through ``_curl_hat``, the kernel of the stepper and the spin."""
+    return _to_grid(_curl_hat(_kgrid(grid), _to_spectrum(data)))
 
 
 # --- grid geometry ------------------------------------------------------------
@@ -72,6 +79,12 @@ def test_grid_rejects_bad_cell_counts(n):
 def test_grid_rejects_bad_lengths():
     with pytest.raises(ValueError):
         Grid3((8, 8, 8), (1.0, -2.0, 1.0))
+
+
+@pytest.mark.parametrize("L", [1e-200, 1e200, 1e-320])
+def test_grid_rejects_lengths_whose_wavenumber_squares_are_not_normal(L):
+    with pytest.raises(ValueError, match="normal"):
+        Grid3((8, 8, 8), (1.0, L, 1.0))
 
 
 def test_field_wrappers_check_shape():
@@ -115,73 +128,14 @@ def test_spectral_curl_of_cosine():
     phase = k[0] * x + k[1] * y + k[2] * z
     field = c0[:, None, None, None] * np.cos(phase)
     expected = -np.cross(k, c0)[:, None, None, None] * np.sin(phase)
-    np.testing.assert_allclose(spectral_curl(field, grid), expected, atol=1e-12)
+    np.testing.assert_allclose(curl(field, grid), expected, atol=1e-12)
 
 
 def test_curl_of_gradient_vanishes():
     grid = cube(16)
     x, y, z = meshes(grid)
     data = np.cos(x) * np.sin(2 * y) + np.cos(z)
-    curl = spectral_curl(spectral_gradient(data, grid), grid)
-    assert np.max(np.abs(curl)) < 1e-12
-
-
-# --- potentials to fields -------------------------------------------------------
-
-
-def plane_wave_potentials(grid, k, eps, c, part):
-    """A or C plane-wave four-potential and its time derivative at t = 0."""
-    x, y, z = meshes(grid)
-    phase = k[0] * x + k[1] * y + k[2] * z
-    omega = c * float(np.linalg.norm(k))
-    vec = eps[:, None, None, None] * np.cos(phase)
-    dvec = omega * eps[:, None, None, None] * np.sin(phase)
-    zeros = np.zeros((4,) + grid.shape)
-    four = np.concatenate([np.zeros((1,) + grid.shape), vec])
-    dfour = np.concatenate([np.zeros((1,) + grid.shape), dvec])
-    if part == "A":
-        return PotentialPair(four, zeros), PotentialPair(dfour, zeros), phase, omega
-    return PotentialPair(zeros, four), PotentialPair(zeros, dfour), phase, omega
-
-
-def test_fields_from_electric_type_plane_wave():
-    grid = cube(16)
-    k = np.array([1.0, 2.0, 0.0])
-    eps = np.array([2.0, -1.0, 0.0]) / math.sqrt(5.0)
-    pp, dpp, phase, omega = plane_wave_potentials(grid, k, eps, NAT.c, "A")
-    out = fields_from_potentials(pp, dpp, grid, NAT)
-    np.testing.assert_allclose(out.E, -omega * eps[:, None, None, None] * np.sin(phase), atol=1e-12)
-    np.testing.assert_allclose(
-        out.B, -np.cross(k, eps)[:, None, None, None] * np.sin(phase), atol=1e-12
-    )
-
-
-def test_fields_from_magnetic_type_plane_wave():
-    grid = cube(16)
-    c = 2.0
-    units = UnitSystem(c=c, eps0=1.0)
-    k = np.array([0.0, 1.0, 2.0])
-    eps = np.array([1.0, 0.0, 0.0])
-    pp, dpp, phase, omega = plane_wave_potentials(grid, k, eps, c, "C")
-    out = fields_from_potentials(pp, dpp, grid, units)
-    np.testing.assert_allclose(
-        out.E, np.cross(k, eps)[:, None, None, None] * np.sin(phase), atol=1e-12
-    )
-    np.testing.assert_allclose(
-        out.B, -(omega / c**2) * eps[:, None, None, None] * np.sin(phase), atol=1e-12
-    )
-
-
-def test_scalar_potential_gradient_contributes_to_electric_field():
-    grid = cube(16)
-    x, _, _ = meshes(grid)
-    four = np.zeros((4,) + grid.shape)
-    four[0] = np.cos(x)
-    pp = PotentialPair(four, np.zeros_like(four))
-    dpp = PotentialPair(np.zeros_like(four), np.zeros_like(four))
-    out = fields_from_potentials(pp, dpp, grid, NAT)
-    np.testing.assert_allclose(out.E[0], np.sin(x), atol=1e-12)
-    assert np.max(np.abs(out.B)) < 1e-13
+    assert np.max(np.abs(curl(spectral_gradient(data, grid), grid))) < 1e-12
 
 
 # --- Helmholtz decomposition ----------------------------------------------------
@@ -228,8 +182,8 @@ def test_gradient_fields_are_longitudinal():
 def test_curl_fields_are_transverse():
     grid = cube(16)
     field = random_vector_field(grid, 3)
-    curl = VectorField(grid, spectral_curl(field.data, grid))
-    assert helmholtz_decompose(curl)[1].l2norm() < 1e-13 * curl.l2norm()
+    rotational = VectorField(grid, curl(field.data, grid))
+    assert helmholtz_decompose(rotational)[1].l2norm() < 1e-13 * rotational.l2norm()
 
 
 def test_uniform_field_counts_as_longitudinal():
@@ -311,6 +265,9 @@ def test_at_time_moves_and_wraps():
     assert moved.position[0] == pytest.approx(7.0 - TWO_PI)
     free = source.at_time(1.0)
     assert free.position[0] == pytest.approx(7.0)
+    # np.mod(-3.5e-17, 2 pi) rounds to the float 2 pi itself, which lies outside
+    below_zero = source_at((0.0, 1.0, 1.0), v=(-3.5e-17, 0.0, 0.0))
+    assert below_zero.at_time(1.0, box=(TWO_PI, TWO_PI, TWO_PI)).position[0] == 0.0
 
 
 @pytest.mark.parametrize(
@@ -496,10 +453,15 @@ def test_mode_observables_are_written_once():
     modes_source = package / "modes.py"
     contract = _callers(modes_source, {"_lorentz_contract", "_abs_contract"})
     assert contract == {"_dual_density": ["_abs_contract", "_lorentz_contract"]}
-    spin = {}
+    projector = {}
     for path in sorted(package.glob("*.py")):
-        spin.update(_callers(path, {"helmholtz_decompose", "fields_from_potentials"}))
-    assert spin == {"spin_observable": ["fields_from_potentials", "helmholtz_decompose"]}
+        projector.update(_callers(path, {"_transverse_hat"}))
+    assert projector == {"helmholtz_decompose": ["_transverse_hat"],
+                         "spin_observable": ["_transverse_hat"]}
+    spin = next(stmt for stmt in ast.parse(modes_source.read_text()).body
+                if getattr(stmt, "name", None) == "spin_observable")
+    transforms = [_called(n.func) for n in ast.walk(spin) if isinstance(n, ast.Call)]
+    assert (transforms.count("_to_spectrum"), transforms.count("_to_grid")) == (1, 0)
     add_at = [
         n for n in ast.walk(ast.parse(modes_source.read_text()))
         if isinstance(n, ast.Call) and ast.unparse(n.func) == "np.add.at"
@@ -512,6 +474,7 @@ def test_mode_observables_are_written_once():
 NO_CALLER_ALLOWED = {
     "fields.load_field": "reads back the E_final.bin / B_final.bin files dual-covariance writes",
     "dynamics.UniformFieldSampler": "closed-form orbits; pins push_particle in the parabola and gyration tests",
+    "fields.helmholtz_decompose": "the benchmark's scenarios warm-up splits a 16^3 field with it",
 }
 
 

@@ -200,6 +200,22 @@ def test_stepping_is_a_semigroup_on_full_spectrum_fields():
     assert np.linalg.norm(diff) / np.linalg.norm(scale) <= 1e-13
 
 
+def test_sourced_stepping_is_a_semigroup_across_x_zero():
+    # after one step the source sits a rounding error below x = 0; wrapped,
+    # it must land on 0, not on L, so the second call accepts it
+    grid = cube(32)
+    source = moving_source((0.0, 3.0, 3.0), (-4e-14, 0.0, 0.0), 1.0, 0.0, sigma=0.6)
+    state = consistent_state(grid, NAT, [source])
+    dt = 0.005
+    stepped = step_symmetric_maxwell(state, dt, NAT, steps=1)
+    stepped = step_symmetric_maxwell(stepped, dt, NAT, steps=1)
+    at_once = step_symmetric_maxwell(state, dt, NAT, steps=2)
+    assert 0.0 <= stepped.sources[0].position[0] < grid.L[0]
+    diff = np.concatenate([stepped.fields.E - at_once.fields.E, stepped.fields.B - at_once.fields.B])
+    scale = np.concatenate([at_once.fields.E, at_once.fields.B])
+    assert np.linalg.norm(diff) / np.linalg.norm(scale) <= 1e-13
+
+
 # --- conservation -----------------------------------------------------------------
 
 
