@@ -442,6 +442,9 @@ def run_rotation_properties(cfg: ScenarioConfig, outdir: Path) -> Checks:
 def run_dual_covariance(cfg: ScenarioConfig, outdir: Path) -> Checks:
     units = cfg.units
     grid = cfg.grid()
+    if min(grid.n) < 8:
+        # random_wave_fields draws wavenumbers up to 3 per axis, below Nyquist from 8 cells
+        raise ConfigError(f"[grid] n must be at least 8 cells per axis, got {grid.n}")
     sources = cfg.sources(sigma_fallback=3.0 * max(grid.spacing))
     dt = cfg.get_float("evolution", "dt", 0.005, above=0)
     steps = cfg.get_int("evolution", "steps", 100, at_least=1)
@@ -657,8 +660,9 @@ def run_monopole_flyby(cfg: ScenarioConfig, outdir: Path) -> Checks:
         trajectory.to_csv(outdir / f"trajectory_{model}.csv", plane_normal=normal)
         disp, _ = out_of_plane_component(trajectory, normal)
         span = in_plane_span(trajectory, normal)
-        # a run stopped before its first step spans nothing: the ratio is undefined
-        ratios[model] = float(np.max(np.abs(disp))) / span if span > 0.0 else math.nan
+        # a run stopped before its first step spans nothing, and a span that
+        # overflows measures nothing: the ratio is undefined
+        ratios[model] = float(np.max(np.abs(disp))) / span if 0.0 < span < math.inf else math.nan
         checks.record(f"{model}_steps", len(trajectory) - 1)
         checks.record(f"{model}_termination", trajectory.termination or "completed")
         checks.record(f"{model}_in_plane_span", span)

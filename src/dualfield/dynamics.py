@@ -155,8 +155,10 @@ def push_particle(
 ) -> Trajectory:
     """Integrate the particle with RK4 under the chosen force model.
 
-    Truncates (with a recorded reason) if the particle leaves the sampler
-    domain or exceeds the nonrelativistic speed guard of 0.1 c.
+    Truncates (with a recorded reason) if the time, position or momentum
+    stops being finite, if the particle leaves the sampler domain, or if it
+    exceeds the nonrelativistic speed guard of 0.1 c; the state that trips a
+    check is not recorded.
     """
     if model not in _FORCE_MODELS:
         raise ValueError(f"unknown force model {model!r}; expected one of {_FORCE_MODELS}")
@@ -180,28 +182,34 @@ def push_particle(
     x = particle.position.copy()
     p = m * particle.velocity
     t = 0.0
-    for _ in range(steps):
-        k1x, k1p = p / m, force(x, p / m, t)
-        k2x = (p + 0.5 * dt * k1p) / m
-        k2p = force(x + 0.5 * dt * k1x, k2x, t + 0.5 * dt)
-        k3x = (p + 0.5 * dt * k2p) / m
-        k3p = force(x + 0.5 * dt * k2x, k3x, t + 0.5 * dt)
-        k4x = (p + dt * k3p) / m
-        k4p = force(x + dt * k3x, k4x, t + dt)
-        x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        t += dt
-        if not sampler.in_domain(x):
-            termination = "left sampler domain"
-            break
-        v = p / m
-        if float(np.linalg.norm(v)) > guard:
-            termination = "exceeded nonrelativistic speed guard"
-            break
-        times.append(t)
-        xs.append(x.copy())
-        vs.append(v.copy())
-        forces.append(force(x, v, t))
+    # an overflowing step ends the run as a non-finite state, not in a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            k1x, k1p = p / m, force(x, p / m, t)
+            k2x = (p + 0.5 * dt * k1p) / m
+            k2p = force(x + 0.5 * dt * k1x, k2x, t + 0.5 * dt)
+            k3x = (p + 0.5 * dt * k2p) / m
+            k3p = force(x + 0.5 * dt * k2x, k3x, t + 0.5 * dt)
+            k4x = (p + dt * k3p) / m
+            k4p = force(x + dt * k3x, k4x, t + dt)
+            x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+            t += dt
+            v = p / m
+            speed = float(np.linalg.norm(v))
+            if not (math.isfinite(speed) and math.isfinite(t) and all(map(math.isfinite, x))):
+                termination = "non-finite state"
+                break
+            if not sampler.in_domain(x):
+                termination = "left sampler domain"
+                break
+            if speed > guard:
+                termination = "exceeded nonrelativistic speed guard"
+                break
+            times.append(t)
+            xs.append(x.copy())
+            vs.append(v.copy())
+            forces.append(force(x, v, t))
 
     return Trajectory(
         t=np.asarray(times),
@@ -243,8 +251,10 @@ def out_of_plane_component(
 
 
 def in_plane_span(trajectory: Trajectory, normal: np.ndarray) -> float:
-    """Largest in-plane displacement from the initial point along the path."""
+    """Largest in-plane displacement from the initial point along the path,
+    inf when its square overflows."""
     n = _unit_normal(normal)
     rel = trajectory.x - trajectory.x[0]
     in_plane = rel - np.outer(rel @ n, n)
-    return float(np.max(np.linalg.norm(in_plane, axis=1)))
+    with np.errstate(over="ignore"):  # inf for a path too long to measure
+        return float(np.max(np.linalg.norm(in_plane, axis=1)))

@@ -1,6 +1,8 @@
 """End-to-end runs of the scenario command line."""
 
+import math
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -307,6 +309,8 @@ def test_two_field_cross_judges_small_energies_by_their_ratio(tmp_path):
         ("covariance", "source.1.velocity=2 0 0", 2),
         ("covariance", "checks.require_shared_ratio=maybe", 1),
         ("covariance", "grid.n=1e400", 1),
+        ("covariance", "grid.n=4", 1),
+        ("covariance", "grid.n=6", 1),
         ("flyby", "evolution.dt=nan", 1),
         ("flyby", "evolution.dt=-1", 1),
         ("flyby", "particle.mass=0", 1),
@@ -419,6 +423,38 @@ def test_flyby_stopped_before_its_first_step_records_a_nan_ratio(tmp_path):
     summary = read_summary(out)
     assert summary["classical_steps"] == "0"
     assert summary["classical_out_of_plane_ratio"] == "nan"
+
+
+def test_dual_covariance_runs_from_eight_cells_per_axis(tmp_path):
+    # random waves reach wavenumber 3 per axis, which lies below Nyquist from 8 cells
+    text = """
+        [scenario]
+        name = dual-covariance
+        [grid]
+        n = 8
+        [evolution]
+        steps = 10
+        """
+    assert cli.main(["run", write_cfg(tmp_path, text), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize(
+    "overrides", [["evolution.dt=1e300", "evolution.steps=2"], ["particle.mass=1e-300"]]
+)
+def test_an_overflowing_flyby_fails_without_a_warning(tmp_path, capsys, overrides):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["run", write_cfg(tmp_path, BASE["flyby"]), "--out", str(out)]
+                        + [arg for item in overrides for arg in ("--override", item)])
+    assert code == 3
+    assert "Traceback" not in capsys.readouterr().err
+    summary = read_summary(out)
+    assert summary["classical_termination"] == "non-finite state"
+    # a quantum pass needs a path whose span was measured
+    quantum = float(summary["quantum_out_of_plane_ratio"])
+    if quantum <= float(summary["quantum_out_of_plane_ratio_limit"]):
+        assert 0.0 < float(summary["quantum_in_plane_span"]) < math.inf
 
 
 def test_a_key_read_under_another_case_counts_as_read(tmp_path):

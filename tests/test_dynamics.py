@@ -1,6 +1,7 @@
 """Test-particle forces and trajectories under both force models."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,28 @@ def test_trajectory_truncates_on_speed_guard():
     traj = push_particle(p, sampler, "classical", 0.01, 1000, NAT)
     assert traj.termination == "exceeded nonrelativistic speed guard"
     assert np.max(np.linalg.norm(traj.v, axis=1)) <= 0.1 * NAT.c + 1e-12
+
+
+@pytest.mark.parametrize(
+    "field,state,dt",
+    [
+        # the momentum overflows within the first step
+        (1e308, particle(qe=1.0), 10.0),
+        # the position overflows on step 16, long before the time would
+        (0.0, particle(qe=1.0, v=(0.05, 0.0, 0.0), x=(1.79e308, 0.0, 0.0)), 1e306),
+        # the time overflows on the second step
+        (0.0, particle(qe=1.0), 1e308),
+    ],
+)
+def test_trajectory_truncates_on_a_non_finite_state(field, state, dt):
+    sampler = UniformFieldSampler(field * X, ZERO3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = push_particle(state, sampler, "classical", dt, 200, NAT)
+    assert traj.termination == "non-finite state"
+    assert len(traj) < 201
+    for recorded in (traj.t, traj.x, traj.v, traj.force):
+        assert np.all(np.isfinite(recorded))
 
 
 @pytest.mark.parametrize("model", ["classical", "quantum"])

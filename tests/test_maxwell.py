@@ -11,12 +11,18 @@ from dualfield.errors import (
     SharedRatioError,
     SuperluminalSourceError,
 )
+from dualfield import maxwell
 from dualfield.fields import (
     Grid3,
     PointSource,
     ScalarField,
     VectorField,
+    _curl_hat,
+    _kgrid,
+    _to_grid,
+    _to_spectrum,
     coulomb_field_from_density,
+    current_spectra,
     deposit_sources,
     spectral_gradient,
 )
@@ -216,6 +222,97 @@ def test_sourced_stepping_is_a_semigroup_across_x_zero():
     assert np.linalg.norm(diff) / np.linalg.norm(scale) <= 1e-13
 
 
+def rk4_stage_loop(state, dt, units, steps):
+    """``steps`` classical RK4 steps taken stage by stage on the half spectrum,
+    with the moving sources' currents evaluated at every stage."""
+    grid = state.grid
+    k = _kgrid(grid)
+
+    def rhs(y, t):
+        dE = units.c**2 * _curl_hat(k, y[1])
+        dB = -_curl_hat(k, y[0])
+        currents = current_spectra([s.at_time(t - state.t) for s in state.sources], grid)
+        if currents is not None:
+            dE = dE - currents[0] / units.eps0
+            dB = dB - currents[1]
+        return dE, dB
+
+    def shifted(y, h, slope):
+        return y[0] + h * slope[0], y[1] + h * slope[1]
+
+    y = (_to_spectrum(state.fields.E), _to_spectrum(state.fields.B))
+    t = state.t
+    for _ in range(steps):
+        k1 = rhs(y, t)
+        k2 = rhs(shifted(y, 0.5 * dt, k1), t + 0.5 * dt)
+        k3 = rhs(shifted(y, 0.5 * dt, k2), t + 0.5 * dt)
+        k4 = rhs(shifted(y, dt, k3), t + dt)
+        y = tuple(y[i] + (dt / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i in range(2))
+        t += dt
+    return _to_grid(y[0]), _to_grid(y[1])
+
+
+def white_noise_state(grid, sources, seed):
+    """Normal samples in every cell: every bin is filled, Nyquist planes included."""
+    rng = np.random.default_rng(seed)
+    fields = FieldVecPair(rng.normal(size=(3,) + grid.shape), rng.normal(size=(3,) + grid.shape))
+    return EMState(0.0, grid, fields, sources)
+
+
+def reference_case(name):
+    """(state, dt, units) of one closed-form-against-stage-loop comparison."""
+    if name == "free":
+        grid = cube(16)
+        return white_noise_state(grid, [], 21), 0.25 * min(grid.spacing), NAT
+    if name == "two movers and a static source":
+        # v parallel to x makes k . v vanish on the kx = 0 planes
+        grid = cube(16)
+        sources = [
+            moving_source((3.0, 3.0, 3.0), (0.05, 0.0, 0.0), 1.0, 0.4, sigma=math.pi / 4),
+            moving_source((1.5, 4.2, 2.0), (0.0, -0.05, 0.02), -0.7, 0.3, sigma=math.pi / 4),
+            moving_source((4.5, 1.2, 5.0), (0.0, 0.0, 0.0), 0.3, -0.2, sigma=math.pi / 4),
+        ]
+        return white_noise_state(grid, sources, 22), 0.25 * min(grid.spacing), NAT
+    units = UnitSystem(c=3.0, eps0=0.2)
+    grid = Grid3((24, 32, 40), (5.0, 6.0, 7.0))
+    sources = [moving_source((2.0, 3.0, 3.5), (0.4, -0.9, 1.1), 1.0, -0.5, sigma=0.5)]
+    return white_noise_state(grid, sources, 23), 0.45 * cfl_limit(grid, units), units
+
+
+@pytest.mark.parametrize("steps", [1, 7, 50])
+@pytest.mark.parametrize("name", ["free", "two movers and a static source", "non-cubic, c = 3"])
+def test_closed_form_matches_the_rk4_stage_loop(name, steps):
+    state, dt, units = reference_case(name)
+    out = step_symmetric_maxwell(state, dt, units, steps)
+    E, B = rk4_stage_loop(state, dt, units, steps)
+    assert np.linalg.norm(out.fields.E - E) <= 1e-13 * np.linalg.norm(E)
+    assert np.linalg.norm(out.fields.B - B) <= 1e-13 * np.linalg.norm(B)
+
+
+def test_a_sourced_call_does_the_same_work_for_any_step_count(monkeypatch):
+    state, dt, units = reference_case("two movers and a static source")
+    calls = {}
+
+    def counted(name):
+        original = getattr(maxwell, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("_to_spectrum", "_to_grid", "current_spectra"):
+        monkeypatch.setattr(maxwell, name, counted(name))
+    counts = []
+    for steps in (1, 100):
+        calls.clear()
+        step_symmetric_maxwell(state, dt, units, steps)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert counts[0]["current_spectra"] == 2  # one per moving source, none for the static one
+
+
 # --- conservation -----------------------------------------------------------------
 
 
@@ -342,6 +439,19 @@ def test_negative_time_step_is_rejected():
     state = EMState(0.0, grid, FieldVecPair(zeros, zeros), [])
     with pytest.raises(ValueError):
         step_symmetric_maxwell(state, -0.01, NAT)
+
+
+def test_zero_steps_keep_the_state_and_negative_steps_are_rejected():
+    grid = cube(16)
+    source = moving_source((3.0, 3.0, 3.0), (0.05, 0.0, 0.0), 1.0, 0.5, sigma=math.pi / 4)
+    state = white_noise_state(grid, [source], 24)
+    out = step_symmetric_maxwell(state, 0.01, NAT, steps=0)
+    assert out.t == state.t
+    np.testing.assert_array_equal(out.sources[0].position, source.position)
+    np.testing.assert_allclose(out.fields.E, state.fields.E, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(out.fields.B, state.fields.B, rtol=0, atol=1e-14)
+    with pytest.raises(ValueError):
+        step_symmetric_maxwell(state, 0.01, NAT, steps=-1)
 
 
 def test_superluminal_source_is_rejected():
