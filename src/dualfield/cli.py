@@ -81,6 +81,8 @@ from .modes import (
 )
 
 DEFAULT_THETAS = (math.pi / 6, math.pi / 4, math.pi / 2, 3 * math.pi / 2)
+# largest Coulomb lattice nmax = kmax / dk; the acceptance gate needs 363, the defaults 100
+MAX_LATTICE_NMAX = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -195,15 +197,25 @@ class ScenarioConfig:
 
     def lattice(self) -> tuple[list[PointSource], ModeSet]:
         """At least two ``[source.N]`` sources and their Coulomb lattice at
-        ``[modes] kmax_sigma`` and ``dk_r``."""
+        ``[modes] kmax_sigma`` and ``dk_r``.  A spacing ``dk`` that is not a
+        normal float, or an ``nmax = kmax / dk`` above ``MAX_LATTICE_NMAX``, is
+        rejected before any kernel allocates."""
         sources = self.sources()
         if len(sources) < 2:
             raise ConfigError(f"{self.name} needs at least two [source.N] sections")
-        return sources, coulomb_mode_set(
-            sources,
-            kmax_sigma=self.get_float("modes", "kmax_sigma", 6.0, above=0),
-            dk_r=self.get_float("modes", "dk_r", 0.3, above=0),
-        )
+        kmax_sigma = self.get_float("modes", "kmax_sigma", 6.0, above=0)
+        dk_r = self.get_float("modes", "dk_r", 0.3, above=0)
+        keys = ", ".join(["[modes] kmax_sigma", "[modes] dk_r"] + [
+            f"[{s}] sigma" for s in sorted(self.parser.sections()) if s.startswith("source.")])
+        try:
+            ms = coulomb_mode_set(sources, kmax_sigma=kmax_sigma, dk_r=dk_r)
+        except ValueError as exc:
+            raise ConfigError(f"{keys}: {exc}") from exc
+        dk, nmax = ms.dk[0], ms.kmax / ms.dk[0]
+        if not (dk >= sys.float_info.min and nmax <= MAX_LATTICE_NMAX):
+            raise ConfigError(f"{keys} give lattice spacing {dk!r} and nmax {nmax!r}; the "
+                              f"spacing must be a normal float and nmax at most {MAX_LATTICE_NMAX}")
+        return sources, ms
 
     def thetas(self) -> list[float]:
         raw = self._raw("rotation", "thetas")

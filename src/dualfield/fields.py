@@ -367,7 +367,7 @@ def coulomb_field_from_density(density: ScalarField, prefactor: float) -> Vector
 def point_magnetic_field(qm: float, offset: np.ndarray, units: UnitSystem) -> np.ndarray:
     """Radial field of a point magnetic charge; div B = rho_m carries no eps0."""
     r = np.asarray(offset, dtype=float).reshape(3)
-    dist = float(np.linalg.norm(r))
+    dist = np.linalg.norm(r)  # a numpy float: its cube overflows to inf, not OverflowError
     if dist == 0.0:
         raise SingularFieldPointError("magnetic point field evaluated at the charge position")
     return qm * r / (4.0 * math.pi * dist**3)

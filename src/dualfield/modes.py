@@ -17,6 +17,9 @@ are built from one amplitude family ``a``: the A-potential with weight
 subsidiary condition ``C cos = c A sin`` holds identically.  The two-field
 model (independent A and C) appears only in ``two_field_energy`` and in the
 noether-zero violating configuration, A of one synthesis with C = c A of another.
+Charge pair energies contract ``q_i = (qe_i, c eps0 qm_i)`` with a 2x2 sector
+matrix, ``u u^T`` for the one family and 1 for the two-field model, whose
+electric-magnetic cross term is that contraction's off-diagonal block.
 The spin of synthesized potentials is diagonal in k, so ``spin_observable``
 stays on the half spectrum: one forward transform, algebraic curls and
 transverse projection, and a Parseval sum in place of the grid integral.
@@ -299,21 +302,29 @@ def _pair_kernel(rvecs: np.ndarray, s2: np.ndarray, dk: float, kmax: float,
     return totals / ((2.0 * math.pi) ** 3 * eps0)
 
 
-def _lattice_kernels(
-    sources: list[PointSource], ms: ModeSet, eps0: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Source pairs ``(i, j)`` and their lattice kernels; a pair's energy is
-    ``Q_i Q_j * kernel`` for any charge vector ``Q``."""
+def _sector_weights(theta) -> tuple[float, float]:
+    """``(cos, sin)`` of the angle: the weights of A and C / c, and of qe and c eps0 qm."""
+    t = _angle(theta)
+    return math.cos(t), math.sin(t)
+
+
+def _pair_energies(sources: list[PointSource], S: np.ndarray, ms: ModeSet, units: UnitSystem):
+    """(ee, mm, em) blocks of sum_{i<j} q_i^T S q_j K_ij, with ``q_i = (qe_i, c eps0 qm_i)``,
+    ``K`` the lattice kernel and ``S`` a 2x2 sector matrix in (A, C) amplitude space."""
+    if len(sources) < 2:
+        raise ValueError("need at least two sources")
     if not ms.is_lattice:
         raise ValueError("charge energy sums need an implicit lattice ModeSet")
     if not (ms.dk[0] == ms.dk[1] == ms.dk[2]):
         raise ValueError("charge energy sums need a cubic lattice")
+    q = np.asarray([(s.charges.qe, s.charges.qm * units.c * units.eps0) for s in sources]).T
     positions = np.stack([s.position for s in sources])
     i, j, _ = _source_pairs(positions)
     sigma2 = np.asarray([s.sigma**2 for s in sources])
     kernels = _pair_kernel(positions[i] - positions[j], sigma2[i] + sigma2[j],
-                           ms.dk[0], ms.kmax, eps0)
-    return i, j, kernels
+                           ms.dk[0], ms.kmax, units.eps0)
+    blocks = np.sum(S[:, :, None] * q[:, None, i] * q[None, :, j] * kernels, axis=-1)
+    return float(blocks[0, 0]), float(blocks[1, 1]), float(blocks[0, 1] + blocks[1, 0])
 
 
 def _coulomb_pair_sum(positions: np.ndarray, Q: np.ndarray, eps0: float) -> float:
@@ -324,12 +335,6 @@ def _coulomb_pair_sum(positions: np.ndarray, Q: np.ndarray, eps0: float) -> floa
     for term in Q[i] * Q[j] / (4.0 * math.pi * eps0 * r):
         total += term
     return total
-
-
-def _asym_charges(sources: list[PointSource], theta, units: UnitSystem) -> np.ndarray:
-    qe = np.asarray([s.charges.qe for s in sources])
-    qm = np.asarray([s.charges.qm for s in sources])
-    return rotate_charge_components(qe, qm, theta, units)[0]
 
 
 def coulomb_energy_real(sources: list[PointSource], units: UnitSystem) -> float:
@@ -347,7 +352,8 @@ def coulomb_energy_real(sources: list[PointSource], units: UnitSystem) -> float:
     )
     if reference is None:
         return 0.0
-    Q = _asym_charges(sources, asymmetrizing_angle(reference.charges, units), units)
+    qe, qm = np.asarray([(s.charges.qe, s.charges.qm) for s in sources]).T
+    Q = rotate_charge_components(qe, qm, asymmetrizing_angle(reference.charges, units), units)[0]
     return _coulomb_pair_sum(np.stack([s.position for s in sources]), Q, units.eps0)
 
 
@@ -358,15 +364,12 @@ def symmetric_charge_energy(
 
     Evaluates the pair (cross) part of the k-integral of
     |rho(k)|^2 / (2 eps0 k^2) with cell-integrated weights; source
-    self-energies never enter.  The representation angle combines the two
-    densities exactly as ``rotate_charge_components`` does, so at the shared
+    self-energies never enter.  The sector matrix is ``u u^T``, with ``u`` the
+    weights ``synthesize_potentials`` puts on A and C, so at the shared
     asymmetrizing angle this reproduces ``coulomb_energy_real``.
     """
-    if len(sources) < 2:
-        raise ValueError("need at least two sources")
-    Q = _asym_charges(sources, theta, units)
-    i, j, kernels = _lattice_kernels(sources, ms, units.eps0)
-    return float(np.sum(Q[i] * Q[j] * kernels))
+    u = np.asarray(_sector_weights(theta))
+    return sum(_pair_energies(sources, np.outer(u, u), ms, units))
 
 
 def two_field_energy(
@@ -374,19 +377,13 @@ def two_field_energy(
 ) -> tuple[float, float, float]:
     """(ee, mm, em) pair energies in the two-field model.
 
-    With independent potentials the electric and magnetic sectors decouple:
-    ee is the Coulomb energy of the electric charges, mm that of the
-    magnetic charges scaled by c eps0, and the cross term is structurally
-    zero, which is returned exactly.
+    Independent potentials give the sector matrix 1: ee is the Coulomb energy
+    of the electric charges, mm that of the magnetic charges scaled by c eps0,
+    and em the computed off-diagonal block.  The same contraction with the
+    one-field matrix at theta = pi/4 gives the mixed pair (1, 0), (0, 1) an em
+    of half the unit-pair energy, so a nonzero block would show.
     """
-    if len(sources) < 2:
-        raise ValueError("need at least two sources")
-    qe = np.asarray([s.charges.qe for s in sources])
-    qm = np.asarray([s.charges.qm for s in sources]) * units.c * units.eps0
-    i, j, kernels = _lattice_kernels(sources, ms, units.eps0)
-    ee = float(np.sum(qe[i] * qe[j] * kernels))
-    mm = float(np.sum(qm[i] * qm[j] * kernels))
-    return ee, mm, 0.0
+    return _pair_energies(sources, np.eye(2), ms, units)
 
 
 # --- mode amplitudes and free evolution ----------------------------------------
@@ -462,7 +459,7 @@ def synthesize_potentials(
         raise GridMismatchError(
             f"mode lattice represents volume {ms.box_volume}, grid has {grid.volume}"
         )
-    t = _angle(theta)
+    wa, wc = _sector_weights(theta)
     bins = _grid_bins(ms, grid)
     omega = ms.omega(units)
     N_k = np.sqrt(1.0 / (2.0 * units.eps0 * omega * ms.box_volume))
@@ -474,7 +471,7 @@ def synthesize_potentials(
     np.add.at(S, (slice(None), *bins.T), n_cells * rows)
     np.add.at(S, (slice(None), *(-bins % np.asarray(grid.n)).T), n_cells * np.conj(rows))
     X = _to_grid(S[..., : grid.n[2] // 2 + 1])
-    A, C = math.cos(t) * X, units.c * math.sin(t) * X
+    A, C = wa * X, units.c * wc * X
     return PotentialPair(A[:4], C[:4]), PotentialPair(A[4:], C[4:])
 
 

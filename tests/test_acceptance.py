@@ -5,6 +5,7 @@ lines. Every tolerance here is a hard bound, not a typical value.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,6 +40,8 @@ from dualfield.maxwell import EMState, dual_covariance_residual
 from dualfield.modes import (
     ModeAmplitudeSet,
     ModeSet,
+    _pair_energies,
+    _sector_weights,
     coulomb_energy_real,
     coulomb_mode_set,
     free_evolve_modes,
@@ -49,6 +52,7 @@ from dualfield.modes import (
     synthesize_potentials,
     two_field_energy,
 )
+from test_dynamics import monopole_cone
 
 NAT = UnitSystem.natural()
 THETAS = (math.pi / 6, math.pi / 4, math.pi / 2, 3 * math.pi / 2)
@@ -200,15 +204,27 @@ def test_criterion_4_coulomb_equivalence():
 
 def test_criterion_5_two_field_no_cross_interaction():
     worst = 0.0
-    for label, sources, _theta in coulomb_cases():
+    cases = coulomb_cases()
+    for label, sources, _theta in cases:
         ee, mm, em = two_field_energy(sources, coulomb_mode_set(sources), NAT)
-        assert em == 0.0, label  # exact structural zero, not a tolerance
+        assert em == 0.0, label  # the computed off-diagonal block, exactly
         real = coulomb_energy_real(sources, NAT)
         rel = abs((ee + mm) - real) / abs(real)
         assert rel < 0.01, (label, ee, mm, real)
         worst = max(worst, rel)
+    # sensitivity: the same contraction with the one-field sector matrix at
+    # pi/4 gives a mixed pair half the energy of two unit charges as em
+    mixed = [
+        PointSource(np.zeros(3), np.zeros(3), ChargePair(1.0, 0.0), 0.15),
+        PointSource(np.array([1.0, 0.0, 0.0]), np.zeros(3), ChargePair(0.0, 1.0), 0.15),
+    ]
+    u = np.asarray(_sector_weights(math.pi / 4))
+    _, _, em_mixed = _pair_energies(mixed, np.outer(u, u), coulomb_mode_set(mixed), NAT)
+    floor = em_mixed / (0.5 * coulomb_energy_real(cases[0][1], NAT))
+    assert abs(floor - 1.0) < 0.01, floor
     announce(5, "two-field-no-cross-interaction",
-             f"em term exactly 0.0 for all 5 configs; ee+mm within {worst:.2%} of pairwise")
+             f"computed em term 0.0 for all 5 configs; ee+mm within {worst:.2%} of pairwise; "
+             f"a mixed pair at pi/4 gives em {floor:.4f} of half the unit-pair energy")
 
 
 def test_criterion_6_out_of_plane_discriminator():
@@ -217,15 +233,22 @@ def test_criterion_6_out_of_plane_discriminator():
         np.array([-2.0, 1.0, 0.0]), np.array([0.05, 0.0, 0.0]), ChargePair(1.0, 0.0), 1.0
     )
     normal = plane_normal(particle.position - sampler.center, particle.velocity)
-    ratios = {}
-    for model in ("classical", "quantum"):
-        trajectory = push_particle(particle, sampler, model, 0.05, 1600, NAT)
-        disp, _ = out_of_plane_component(trajectory, normal)
-        ratios[model] = float(np.max(np.abs(disp)) / in_plane_span(trajectory, normal))
+    paths = {model: push_particle(particle, sampler, model, 0.05, 1600, NAT)
+             for model in ("classical", "quantum")}
+    classical = paths["classical"]
+    paths["cone"] = replace(classical, x=monopole_cone(particle, sampler, classical.t))
+    ratios = {name: _out_of_plane_ratio(path, normal) for name, path in paths.items()}
+    assert ratios["classical"] == pytest.approx(ratios["cone"], rel=1e-10, abs=0.0)
     assert ratios["classical"] > 1e-2
     assert ratios["quantum"] < 1e-8
     announce(6, "out-of-plane-discriminator",
-             f"classical {ratios['classical']:.3f} > 1e-2, quantum {ratios['quantum']:.1e} < 1e-8")
+             f"classical {ratios['classical']:.12f} = exact cone {ratios['cone']:.12f} "
+             f"to 1e-10, > 1e-2; quantum {ratios['quantum']:.1e} < 1e-8")
+
+
+def _out_of_plane_ratio(trajectory, normal):
+    disp, _ = out_of_plane_component(trajectory, normal)
+    return float(np.max(np.abs(disp)) / in_plane_span(trajectory, normal))
 
 
 def _spin_from_modes(amp, theta, grid):

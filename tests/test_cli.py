@@ -330,6 +330,18 @@ def test_two_field_cross_judges_small_energies_by_their_ratio(tmp_path):
         ("cross", "modes.dk_r=-1", 1),
         ("cross", "modes.dk_r=nan", 1),
         ("cross", "modes.kmax_sigma=nan", 1),
+        ("coulomb", "modes.dk_r=5e-324", 1),
+        ("coulomb", "modes.dk_r=1e-300", 1),
+        ("coulomb", "modes.kmax_sigma=1e300", 1),
+        ("coulomb", "modes.kmax_sigma=1e18", 1),
+        ("coulomb", "source.1.sigma=1e-300", 1),
+        ("cross", "modes.dk_r=5e-324", 1),
+        ("cross", "modes.dk_r=1e-300", 1),
+        ("cross", "modes.kmax_sigma=1e300", 1),
+        ("cross", "modes.kmax_sigma=1e18", 1),
+        ("cross", "source.1.sigma=1e-300", 1),
+        ("coulomb", "--override modes.dk_r=5e-324 --override source.2.position=3", 1),
+        ("flyby", "--override evolution.dt=1e110 --override evolution.steps=2", 3),
         ("rotation", "--seed -1", 1),
         ("coulomb", "checks.max_rel=nan", 1),
         ("rotation", "checks.max_residual=-1", 1),

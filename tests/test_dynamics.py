@@ -191,6 +191,39 @@ def flyby_setup():
     return sampler, p, normal
 
 
+def monopole_cone(p, sampler, t):
+    """Exact positions at times ``t`` of an electric charge passing a fixed monopole.
+
+    The speed is constant, ``J = m r x v - (qe g / 4 pi) r_hat`` is conserved,
+    ``r^2 = b^2 + v^2 (t - t*)^2``, and ``r_hat`` precesses about ``J`` by
+    ``|J| / (m b v) atan(v (t - t*) / b)`` taken from 0 to t (Rodrigues rotation).
+    """
+    r0, v0 = p.position - sampler.center, p.velocity
+    speed = np.linalg.norm(v0)
+    rhat0 = r0 / np.linalg.norm(r0)
+    J = p.mass * np.cross(r0, v0) - p.charges.qe * sampler.qm / (4.0 * math.pi) * rhat0
+    Jhat = J / np.linalg.norm(J)
+    t_star = -(r0 @ v0) / speed**2
+    b = np.linalg.norm(r0 + v0 * t_star)
+    rate = np.linalg.norm(J) / (p.mass * b * speed)
+    phi = rate * (np.arctan(speed * (t - t_star) / b) - math.atan(-speed * t_star / b))
+    rhat = (np.outer(np.cos(phi), rhat0) + np.outer(np.sin(phi), np.cross(Jhat, rhat0))
+            + np.outer(1.0 - np.cos(phi), Jhat * (Jhat @ rhat0)))
+    r = np.sqrt(b * b + speed**2 * (t - t_star) ** 2)
+    return sampler.center + r[:, None] * rhat
+
+
+def test_the_pusher_converges_at_fourth_order_to_the_monopole_cone():
+    sampler, p, _ = flyby_setup()
+    errors = []
+    for dt in (3.2, 1.6, 0.8):
+        traj = push_particle(p, sampler, "classical", dt, round(80.0 / dt), NAT)
+        assert traj.termination is None
+        errors.append(np.max(np.linalg.norm(traj.x - monopole_cone(p, sampler, traj.t), axis=1)))
+    ratios = [errors[0] / errors[1], errors[1] / errors[2]]
+    assert all(12.0 < ratio < 20.0 for ratio in ratios), (errors, ratios)
+
+
 def test_classical_flyby_leaves_the_initial_plane():
     sampler, p, normal = flyby_setup()
     traj = push_particle(p, sampler, "classical", 0.05, 1600, NAT)

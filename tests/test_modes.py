@@ -186,15 +186,31 @@ def test_mode_sum_vanishes_a_quarter_turn_away():
 
 def test_two_field_cross_term_is_structurally_zero():
     sources = source_pair(r=1.2, qe=(1.0, -0.5), qm=(0.3, 0.9), sigma=0.2)
-    ee, mm, em = two_field_energy(sources, coulomb_mode_set(sources), NAT)
-    assert em == 0.0  # exact, not approximately
+    ms = coulomb_mode_set(sources)
+    ee, mm, em = two_field_energy(sources, ms, NAT)
+    assert em == 0.0  # computed: the sector matrix 1 has no off-diagonal block
     ee_ref = 1.0 * (-0.5) / (4.0 * math.pi * 1.2)
     mm_ref = 0.3 * 0.9 / (4.0 * math.pi * 1.2)
     assert abs(ee - ee_ref) / abs(ee_ref) < 0.01
     assert abs(mm - mm_ref) / abs(mm_ref) < 0.01
+    # the one-field sector matrix at pi/4 mixes the sectors, and the same
+    # contraction then returns em = (qe_1 qm_2 + qm_1 qe_2) / 2 times the kernel
+    u = np.asarray(modes._sector_weights(math.pi / 4))
+    _, _, em_mixed = modes._pair_energies(sources, np.outer(u, u), ms, NAT)
+    em_ref = 0.5 * (1.0 * 0.9 + 0.3 * (-0.5)) / (4.0 * math.pi * 1.2)
+    assert abs(em_mixed - em_ref) / abs(em_ref) < 0.01
+    mixed = source_pair(r=1.0, qe=(1.0, 0.0), qm=(0.0, 1.0), sigma=0.15)
+    _, _, em_floor = modes._pair_energies(mixed, np.outer(u, u), coulomb_mode_set(mixed), NAT)
+    assert em_floor == pytest.approx(0.5 / (4.0 * math.pi), rel=0.01)
 
 
-def test_two_field_energy_builds_the_lattice_kernel_once(monkeypatch):
+@pytest.mark.parametrize(
+    "energy",
+    [lambda s, ms: symmetric_charge_energy(s, 0.4, ms, NAT),
+     lambda s, ms: two_field_energy(s, ms, NAT)],
+    ids=["symmetric_charge_energy", "two_field_energy"],
+)
+def test_each_mode_sum_builds_the_lattice_kernel_once(monkeypatch, energy):
     calls = []
     kernel = modes._pair_kernel
 
@@ -204,7 +220,7 @@ def test_two_field_energy_builds_the_lattice_kernel_once(monkeypatch):
 
     monkeypatch.setattr(modes, "_pair_kernel", spy)
     sources = source_pair(r=1.2, qe=(1.0, -0.5), qm=(0.3, 0.9), sigma=0.2)
-    two_field_energy(sources, ModeSet.lattice(dk=1.0, kmax=4.0), NAT)
+    energy(sources, ModeSet.lattice(dk=1.0, kmax=4.0))
     assert len(calls) == 1
 
 
