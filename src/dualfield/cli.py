@@ -83,6 +83,8 @@ from .modes import (
 DEFAULT_THETAS = (math.pi / 6, math.pi / 4, math.pi / 2, 3 * math.pi / 2)
 # largest Coulomb lattice nmax = kmax / dk; the acceptance gate needs 363, the defaults 100
 MAX_LATTICE_NMAX = 1000
+# largest monopole-flyby step count; the default, the tests and the acceptance gate use 1600
+MAX_FLYBY_STEPS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,15 +127,19 @@ class ScenarioConfig:
             raise ConfigError(f"{self.name} reads no {', '.join(unread)}")
 
     @staticmethod
-    def _check(section: str, key: str, raw: str, values, above=None, at_least=None) -> None:
-        """The bounds of every numeric getter: each value must be finite, and
-        above ``above`` and at least ``at_least`` where those are given."""
+    def _check(section: str, key: str, raw: str, values, above=None, at_least=None,
+               at_most=None) -> None:
+        """The bounds of every numeric getter: each value must be finite, above
+        ``above``, at least ``at_least`` and at most ``at_most`` where those
+        are given."""
         if not all(-math.inf < v < math.inf for v in values):
             raise ConfigError(f"[{section}] {key} must be finite, got {raw!r}")
         if above is not None and min(values) <= above:
             raise ConfigError(f"[{section}] {key} must be above {above}, got {raw!r}")
         if at_least is not None and min(values) < at_least:
             raise ConfigError(f"[{section}] {key} must be at least {at_least}, got {raw!r}")
+        if at_most is not None and max(values) > at_most:
+            raise ConfigError(f"[{section}] {key} must be at most {at_most}, got {raw!r}")
 
     def _number(self, section: str, key: str, default, parse, what: str, bounds: dict):
         raw = self._raw(section, key)
@@ -650,15 +656,29 @@ def run_monopole_flyby(cfg: ScenarioConfig, outdir: Path) -> Checks:
     qm = cfg.get_float("particle", "qm", 0.0)
     mass = cfg.get_float("particle", "mass", 1.0, above=0)
     dt = cfg.get_float("evolution", "dt", 0.05, above=0)
-    steps = cfg.get_int("evolution", "steps", 1600, at_least=1)
+    steps = cfg.get_int("evolution", "steps", 1600, at_least=1, at_most=MAX_FLYBY_STEPS)
     min_classical = cfg.get_float("checks", "min_classical_ratio", 1e-2, above=0)
     max_quantum = cfg.get_float("checks", "max_quantum_ratio", 1e-8, at_least=0)
     cfg.check_all_read()
-    if not float(np.linalg.norm(velocity)) < SPEED_GUARD_FRACTION * units.c:
+    # the squared norms the run forms, and their product, which bounds |r x v|^2
+    offset = [a - b for a, b in zip(position.tolist(), monopole_pos.tolist())]
+    r2 = sum(d * d for d in offset)
+    v2 = sum(a * a for a in velocity.tolist())
+    guard = SPEED_GUARD_FRACTION * units.c
+    if not math.isfinite(r2):
+        raise ConfigError(f"[particle] position and [monopole] position: the squared distance "
+                          f"between them overflows, got {position} and {monopole_pos}")
+    if not v2 < guard * guard:
         raise ConfigError(f"[particle] velocity must be slower than the pusher's speed guard "
                           f"{SPEED_GUARD_FRACTION} c, got {velocity}")
+    if not math.isfinite(r2 * v2):
+        raise ConfigError(f"[particle] position and [particle] velocity: the product of their "
+                          f"squared norms overflows, got {position} and {velocity}")
 
     sampler = MonopoleSampler(monopole_qm, monopole_pos, units)
+    if not sampler.in_domain(position.tolist()):
+        raise ConfigError(f"[particle] position must lie farther than r_min = {sampler.r_min!r} "
+                          f"from [monopole] position, got {position} and {monopole_pos}")
     try:
         particle = ParticleState(position, velocity, ChargePair(qe, qm), mass)
         normal = plane_normal(particle.position - sampler.center, particle.velocity)

@@ -10,9 +10,18 @@ model couples only their transverse parts (E_T, B_T).  Both combinations
 are unchanged when the charges turn with ``rotate_charges`` and the fields
 with ``inverse_rotate_fields``.
 
-Samplers provide both the full and the transverse field sample at a point;
-each is an analytic field that declares the split exactly.  The pusher is
-nonrelativistic, so particle speeds are guarded at a tenth of c.
+The pusher works on Python floats: positions, momenta, fields and every RK4
+stage are float triples, and the force law is one componentwise kernel with
+numpy's order of operations per component (the cross product as
+``a1 b2 - a2 b1, ...``), so a step makes no numpy call.  The trajectory
+arrays are built once, at the end.  ``quantum_lorentz_force`` and
+``classical_lorentz_force`` are array wrappers over the same kernel.
+
+Samplers provide both the full and the transverse field sample at a point:
+``sample(x, t)`` takes a float triple and returns ``(E, B), (E_T, B_T)`` as
+float triples; each is an analytic field that declares the split exactly.
+The pusher is nonrelativistic, so particle speeds are guarded at a tenth of
+c; the guard and the sampler domains compare squared norms.
 """
 
 from __future__ import annotations
@@ -46,6 +55,34 @@ class ParticleState:
             raise ValueError(f"mass must be positive, got {self.mass}")
 
 
+def _force_law(charges: ChargePair, units: UnitSystem):
+    """The force ``F(v, (E, B), (E_c, B_c))`` of one particle on float triples.
+
+    Per component, ``(qe E + (c c eps0 qm) B) + v x (qe B_c - (eps0 qm) E_c)``
+    in the order numpy evaluates the same array expression.
+    """
+    qe = charges.qe
+    direct = units.c * units.c * units.eps0 * charges.qm
+    cross = units.eps0 * charges.qm
+
+    def force(v, full, coupled):
+        (E0, E1, E2), (B0, B1, B2) = full
+        (e0, e1, e2), (b0, b1, b2) = coupled
+        w0 = qe * b0 - cross * e0
+        w1 = qe * b1 - cross * e1
+        w2 = qe * b2 - cross * e2
+        v0, v1, v2 = v
+        return (qe * E0 + direct * B0 + (v1 * w2 - v2 * w1),
+                qe * E1 + direct * B1 + (v2 * w0 - v0 * w2),
+                qe * E2 + direct * B2 + (v0 * w1 - v1 * w0))
+
+    return force
+
+
+def _floats(vector) -> tuple[float, float, float]:
+    return tuple(np.asarray(vector, dtype=float).reshape(3).tolist())
+
+
 def quantum_lorentz_force(
     velocity: np.ndarray,
     charges: ChargePair,
@@ -57,9 +94,9 @@ def quantum_lorentz_force(
 
     The quantum model passes transverse parts, on trust: transversality is nonlocal.
     """
-    qe, qm, eps0 = charges.qe, charges.qm, units.eps0
-    direct = qe * full.E + (units.c * units.c * eps0 * qm) * full.B
-    return direct + np.cross(velocity, qe * coupled.B - (eps0 * qm) * coupled.E)
+    force = _force_law(charges, units)
+    return np.array(force(_floats(velocity), (_floats(full.E), _floats(full.B)),
+                          (_floats(coupled.E), _floats(coupled.B))))
 
 
 def classical_lorentz_force(
@@ -78,16 +115,14 @@ class UniformFieldSampler:
     """
 
     def __init__(self, E: np.ndarray, B: np.ndarray, *, transverse: bool = True) -> None:
-        self._full = FieldVecPair(np.asarray(E, float).copy(), np.asarray(B, float).copy())
-        if transverse:
-            self._trans = FieldVecPair(self._full.E.copy(), self._full.B.copy())
-        else:
-            self._trans = FieldVecPair(np.zeros(3), np.zeros(3))
+        self._full = (_floats(E), _floats(B))
+        zero = (0.0, 0.0, 0.0)
+        self._trans = self._full if transverse else (zero, zero)
 
-    def sample(self, x: np.ndarray, t: float) -> tuple[FieldVecPair, FieldVecPair]:
+    def sample(self, x, t: float):
         return self._full, self._trans
 
-    def in_domain(self, x: np.ndarray) -> bool:
+    def in_domain(self, x) -> bool:
         return True
 
 
@@ -99,20 +134,22 @@ class MonopoleSampler:
     excluded from the domain by ``r_min``.
     """
 
-    def __init__(self, qm: float, center: np.ndarray, units: UnitSystem, r_min: float = 1e-6):
+    def __init__(self, qm: float, center, units: UnitSystem, r_min: float = 1e-6):
         self.qm = float(qm)
-        self.center = np.asarray(center, dtype=float).reshape(3)
+        self.center = _floats(center)
         self.units = units
         self.r_min = float(r_min)
 
-    def sample(self, x: np.ndarray, t: float) -> tuple[FieldVecPair, FieldVecPair]:
-        B = point_magnetic_field(self.qm, x - self.center, self.units)
-        full = FieldVecPair(np.zeros(3), B)
-        trans = FieldVecPair(np.zeros(3), np.zeros(3))
-        return full, trans
+    def sample(self, x, t: float):
+        c0, c1, c2 = self.center
+        B = point_magnetic_field(self.qm, (x[0] - c0, x[1] - c1, x[2] - c2), self.units)
+        zero = (0.0, 0.0, 0.0)
+        return (zero, B), (zero, zero)
 
-    def in_domain(self, x: np.ndarray) -> bool:
-        return float(np.linalg.norm(np.asarray(x, float) - self.center)) > self.r_min
+    def in_domain(self, x) -> bool:
+        c0, c1, c2 = self.center
+        d0, d1, d2 = x[0] - c0, x[1] - c1, x[2] - c2
+        return d0 * d0 + d1 * d1 + d2 * d2 > self.r_min * self.r_min
 
 
 @dataclass
@@ -135,14 +172,31 @@ class Trajectory:
     def to_csv(self, path, plane_normal: np.ndarray) -> None:
         """Write t,x,y,z,vx,vy,vz,Fx,Fy,Fz,out_of_plane_displacement rows."""
         out_of_plane, _ = out_of_plane_component(self, plane_normal)
+        rows = np.column_stack([self.t, self.x, self.v, self.force, out_of_plane]).tolist()
         with open(path, "w") as fh:
             fh.write("t,x,y,z,vx,vy,vz,Fx,Fy,Fz,out_of_plane_displacement\n")
-            for i in range(len(self.t)):
-                row = [self.t[i], *self.x[i], *self.v[i], *self.force[i], out_of_plane[i]]
-                fh.write(",".join(repr(float(value)) for value in row) + "\n")
+            for row in rows:
+                fh.write(",".join(map(repr, row)) + "\n")
 
 
 _FORCE_MODELS = ("classical", "quantum")
+
+
+def _over(a, m: float):
+    """a / m on a float triple."""
+    return (a[0] / m, a[1] / m, a[2] / m)
+
+
+def _axpy(a, s: float, b):
+    """a + s b on float triples."""
+    return (a[0] + s * b[0], a[1] + s * b[1], a[2] + s * b[2])
+
+
+def _rk4(a, s: float, k1, k2, k3, k4):
+    """a + s (k1 + 2 k2 + 2 k3 + k4) on float triples."""
+    return (a[0] + s * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+            a[1] + s * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+            a[2] + s * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]))
 
 
 def push_particle(
@@ -155,67 +209,74 @@ def push_particle(
 ) -> Trajectory:
     """Integrate the particle with RK4 under the chosen force model.
 
-    Truncates (with a recorded reason) if the time, position or momentum
-    stops being finite, if the particle leaves the sampler domain, or if it
-    exceeds the nonrelativistic speed guard of 0.1 c; the state that trips a
-    check is not recorded.
+    The particle must start inside the sampler domain.  Truncates (with a
+    recorded reason) if the time, position or momentum stops being finite,
+    if the particle leaves the sampler domain, or if it exceeds the
+    nonrelativistic speed guard of 0.1 c; the state that trips a check is
+    not recorded.
     """
     if model not in _FORCE_MODELS:
         raise ValueError(f"unknown force model {model!r}; expected one of {_FORCE_MODELS}")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
+    x = _floats(particle.position)
+    if not sampler.in_domain(x):
+        raise ValueError(f"the particle starts at {x}, outside the sampler domain")
 
     coupled = _FORCE_MODELS.index(model)  # sample() returns (full, transverse)
+    law = _force_law(particle.charges, units)
+    sample = sampler.sample
 
-    def force(x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-        fields = sampler.sample(x, t)
-        return quantum_lorentz_force(v, particle.charges, fields[0], fields[coupled], units)
+    def force(x, v, t):
+        try:
+            fields = sample(x, t)
+        except ZeroDivisionError:  # a field numpy would make inf or nan: the state turns nan
+            return (math.nan, math.nan, math.nan)
+        return law(v, fields[0], fields[coupled])
 
     m = particle.mass
     guard = SPEED_GUARD_FRACTION * units.c
-    times = [0.0]
-    xs = [particle.position.copy()]
-    vs = [particle.velocity.copy()]
-    forces = [force(particle.position, particle.velocity, 0.0)]
+    guard2 = guard * guard
+    half, sixth = 0.5 * dt, dt / 6.0
+    v = _floats(particle.velocity)
+    times, xs, vs, forces = [0.0], [x], [v], [force(x, v, 0.0)]
     termination = None
 
-    x = particle.position.copy()
-    p = m * particle.velocity
+    p = (m * v[0], m * v[1], m * v[2])
     t = 0.0
-    # an overflowing step ends the run as a non-finite state, not in a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(steps):
-            k1x, k1p = p / m, force(x, p / m, t)
-            k2x = (p + 0.5 * dt * k1p) / m
-            k2p = force(x + 0.5 * dt * k1x, k2x, t + 0.5 * dt)
-            k3x = (p + 0.5 * dt * k2p) / m
-            k3p = force(x + 0.5 * dt * k2x, k3x, t + 0.5 * dt)
-            k4x = (p + dt * k3p) / m
-            k4p = force(x + dt * k3x, k4x, t + dt)
-            x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            t += dt
-            v = p / m
-            speed = float(np.linalg.norm(v))
-            if not (math.isfinite(speed) and math.isfinite(t) and all(map(math.isfinite, x))):
-                termination = "non-finite state"
-                break
-            if not sampler.in_domain(x):
-                termination = "left sampler domain"
-                break
-            if speed > guard:
-                termination = "exceeded nonrelativistic speed guard"
-                break
-            times.append(t)
-            xs.append(x.copy())
-            vs.append(v.copy())
-            forces.append(force(x, v, t))
+    for _ in range(steps):
+        k1x = _over(p, m)
+        k1p = force(x, k1x, t)
+        k2x = _over(_axpy(p, half, k1p), m)
+        k2p = force(_axpy(x, half, k1x), k2x, t + half)
+        k3x = _over(_axpy(p, half, k2p), m)
+        k3p = force(_axpy(x, half, k2x), k3x, t + half)
+        k4x = _over(_axpy(p, dt, k3p), m)
+        k4p = force(_axpy(x, dt, k3x), k4x, t + dt)
+        x = _rk4(x, sixth, k1x, k2x, k3x, k4x)
+        p = _rk4(p, sixth, k1p, k2p, k3p, k4p)
+        t += dt
+        v = _over(p, m)
+        speed2 = v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
+        if not (math.isfinite(speed2) and math.isfinite(t) and all(map(math.isfinite, x))):
+            termination = "non-finite state"
+            break
+        if not sampler.in_domain(x):
+            termination = "left sampler domain"
+            break
+        if speed2 > guard2:
+            termination = "exceeded nonrelativistic speed guard"
+            break
+        times.append(t)
+        xs.append(x)
+        vs.append(v)
+        forces.append(force(x, v, t))
 
     return Trajectory(
-        t=np.asarray(times),
-        x=np.asarray(xs),
-        v=np.asarray(vs),
-        force=np.asarray(forces),
+        t=np.array(times),
+        x=np.array(xs),
+        v=np.array(vs),
+        force=np.array(forces),
         termination=termination,
     )
 

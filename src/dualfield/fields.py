@@ -364,13 +364,23 @@ def coulomb_field_from_density(density: ScalarField, prefactor: float) -> Vector
     return VectorField(grid, _to_grid(-1j * prefactor * k * phi))
 
 
-def point_magnetic_field(qm: float, offset: np.ndarray, units: UnitSystem) -> np.ndarray:
-    """Radial field of a point magnetic charge; div B = rho_m carries no eps0."""
-    r = np.asarray(offset, dtype=float).reshape(3)
-    dist = np.linalg.norm(r)  # a numpy float: its cube overflows to inf, not OverflowError
+def point_magnetic_field(qm: float, offset, units: UnitSystem) -> tuple[float, float, float]:
+    """Radial field of a point magnetic charge at ``offset`` (three floats),
+    as a float triple; div B = rho_m carries no eps0.
+
+    Where the cube of the distance underflows, the division raises
+    ``ZeroDivisionError`` (numpy would give an inf or nan field).
+    """
+    x, y, z = offset
+    dist = math.sqrt(x * x + y * y + z * z)
     if dist == 0.0:
         raise SingularFieldPointError("magnetic point field evaluated at the charge position")
-    return qm * r / (4.0 * math.pi * dist**3)
+    try:
+        cube = dist**3
+    except OverflowError:  # as a numpy float would: inf, so the field is zero
+        cube = math.inf
+    scale = 4.0 * math.pi * cube
+    return (qm * x / scale, qm * y / scale, qm * z / scale)
 
 
 def save_field(path, field: ScalarField | VectorField) -> None:

@@ -342,6 +342,12 @@ def test_two_field_cross_judges_small_energies_by_their_ratio(tmp_path):
         ("cross", "source.1.sigma=1e-300", 1),
         ("coulomb", "--override modes.dk_r=5e-324 --override source.2.position=3", 1),
         ("flyby", "--override evolution.dt=1e110 --override evolution.steps=2", 3),
+        ("flyby", "particle.position=1e-110 0 0", 1),
+        ("flyby", "particle.position=1e-7 0 0", 1),
+        ("flyby", "particle.position=1e300 1 0", 1),
+        ("flyby", "monopole.position=-1e300 0 0", 1),
+        ("flyby", "particle.velocity=1e300 0 0", 1),
+        ("flyby", "evolution.steps=100001", 1),
         ("rotation", "--seed -1", 1),
         ("coulomb", "checks.max_rel=nan", 1),
         ("rotation", "checks.max_residual=-1", 1),
@@ -467,6 +473,25 @@ def test_an_overflowing_flyby_fails_without_a_warning(tmp_path, capsys, override
     quantum = float(summary["quantum_out_of_plane_ratio"])
     if quantum <= float(summary["quantum_out_of_plane_ratio_limit"]):
         assert 0.0 < float(summary["quantum_in_plane_span"]) < math.inf
+
+
+def test_a_flyby_start_the_monopole_excludes_exits_one(tmp_path, capsys):
+    assert run_with(tmp_path, "flyby", "particle.position=1e-7 0 0") == 1
+    err = capsys.readouterr().err
+    assert "[particle] position" in err and "[monopole] position" in err
+    assert output_files(tmp_path) == []
+
+
+def test_a_flyby_whose_plane_normal_overflows_exits_one(tmp_path, capsys):
+    # |r|^2 and |v|^2 are finite, but |r x v|^2 = 1e604 is not
+    overrides = ["particle.position=1e154 0 0", "particle.velocity=0 1e148 0", "units.c=1e150"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["run", write_cfg(tmp_path, BASE["flyby"]), "--out", str(tmp_path / "out")]
+                        + [arg for item in overrides for arg in ("--override", item)])
+    assert code == 1
+    assert "[particle] position and [particle] velocity" in capsys.readouterr().err
+    assert output_files(tmp_path) == []
 
 
 def test_a_key_read_under_another_case_counts_as_read(tmp_path):

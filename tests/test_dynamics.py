@@ -122,13 +122,11 @@ def test_lorentz_force_matches_the_two_cross_product_form(units):
 
 def test_monopole_sampler_matches_point_profile():
     sampler = MonopoleSampler(0.7, np.array([1.0, 0.0, 0.0]), NAT)
-    x = np.array([3.0, 0.0, 0.0])
-    full, trans = sampler.sample(x, 0.0)
-    np.testing.assert_allclose(full.B, point_magnetic_field(0.7, x - sampler.center, NAT))
-    assert np.all(full.E == 0.0)
-    assert np.all(trans.E == 0.0) and np.all(trans.B == 0.0)
-    assert sampler.in_domain(np.array([1.0 + 1e-3, 0.0, 0.0]))
-    assert not sampler.in_domain(np.array([1.0 + 1e-9, 0.0, 0.0]))
+    (E, B), (E_T, B_T) = sampler.sample((3.0, 0.0, 0.0), 0.0)
+    assert B == point_magnetic_field(0.7, (2.0, 0.0, 0.0), NAT)
+    assert E == E_T == B_T == (0.0, 0.0, 0.0)
+    assert sampler.in_domain((1.0 + 1e-3, 0.0, 0.0))
+    assert not sampler.in_domain((1.0 + 1e-9, 0.0, 0.0))
 
 
 # --- trajectories ----------------------------------------------------------------
@@ -283,6 +281,87 @@ def test_trajectory_truncates_on_a_non_finite_state(field, state, dt):
         assert np.all(np.isfinite(recorded))
 
 
+def numpy_push(state, fields, dt, steps, units):
+    """The RK4 stage loop on numpy arrays, with no guard: ``fields(x)`` gives
+    the (E, B, E_c, B_c) arrays at ``x``."""
+    qe, qm, c, eps0 = state.charges.qe, state.charges.qm, units.c, units.eps0
+
+    def force(x, v):
+        E, B, E_c, B_c = fields(x)
+        return qe * E + (c * c * eps0 * qm) * B + np.cross(v, qe * B_c - (eps0 * qm) * E_c)
+
+    m = state.mass
+    xs, vs, forces = [state.position], [state.velocity], [force(state.position, state.velocity)]
+    x, p = state.position.copy(), m * state.velocity
+    for _ in range(steps):
+        k1x, k1p = p / m, force(x, p / m)
+        k2x = (p + 0.5 * dt * k1p) / m
+        k2p = force(x + 0.5 * dt * k1x, k2x)
+        k3x = (p + 0.5 * dt * k2p) / m
+        k3p = force(x + 0.5 * dt * k2x, k3x)
+        k4x = (p + dt * k3p) / m
+        k4p = force(x + dt * k3x, k4x)
+        x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        xs.append(x)
+        vs.append(p / m)
+        forces.append(force(x, p / m))
+    return np.array(xs), np.array(vs), np.array(forces)
+
+
+def monopole_fields(qm, coupled, center=ZERO3):
+    def fields(x):
+        r = x - center
+        B = qm * r / (4.0 * math.pi * np.linalg.norm(r) ** 3)
+        return ZERO3, B, ZERO3, (B if coupled else ZERO3)
+    return fields
+
+
+def uniform_fields(E, B):
+    return lambda x: (E, B, E, B)
+
+
+C3 = UnitSystem(c=3.0, eps0=0.2)
+E_C3, B_C3 = np.array([0.003, -0.002, 0.001]), np.array([0.0005, 0.001, -0.0002])
+REFERENCE_CASES = {
+    "flyby-classical": (MonopoleSampler(0.05, ZERO3, NAT), monopole_fields(0.05, True),
+                        particle(qe=1.0, v=(0.05, 0.0, 0.0), x=(-2.0, 1.0, 0.0)),
+                        "classical", 0.05, 1600, NAT),
+    "flyby-quantum": (MonopoleSampler(0.05, ZERO3, NAT), monopole_fields(0.05, False),
+                      particle(qe=1.0, v=(0.05, 0.0, 0.0), x=(-2.0, 1.0, 0.0)),
+                      "quantum", 0.05, 1600, NAT),
+    "uniform-E": (UniformFieldSampler(0.004 * X, ZERO3), uniform_fields(0.004 * X, ZERO3),
+                  particle(qe=1.0, v=0.01 * Y, mass=2.0), "classical", 0.05, 100, NAT),
+    "gyration": (UniformFieldSampler(ZERO3, 0.02 * Z), uniform_fields(ZERO3, 0.02 * Z),
+                 particle(qe=1.0, v=0.01 * X), "classical", math.pi / 5.0, 500, NAT),
+    "c3-eps0.2": (UniformFieldSampler(E_C3, B_C3), uniform_fields(E_C3, B_C3),
+                  particle(qe=0.4, qm=1.5, v=(0.02, -0.05, 0.01), mass=3.0),
+                  "classical", 0.1, 400, C3),
+    "c3-eps0.2-monopole": (MonopoleSampler(0.3, (0.5, 0.0, 0.0), C3),
+                           monopole_fields(0.3, True, center=np.array([0.5, 0.0, 0.0])),
+                           particle(qe=0.7, qm=0.9, v=(0.1, 0.0, 0.02), x=(-2.0, 1.0, 0.0)),
+                           "classical", 0.05, 800, C3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_the_float_pusher_matches_the_numpy_stage_loop(case):
+    sampler, fields, p, model, dt, steps, units = REFERENCE_CASES[case]
+    traj = push_particle(p, sampler, model, dt, steps, units)
+    assert traj.termination is None
+    for got, want in zip((traj.x, traj.v, traj.force), numpy_push(p, fields, dt, steps, units)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_a_completed_push_samples_the_field_five_times_per_step_plus_one():
+    sampler, p, _ = flyby_setup()
+    calls, sample = [], sampler.sample
+    sampler.sample = lambda x, t: calls.append(t) or sample(x, t)
+    traj = push_particle(p, sampler, "classical", 0.05, 40, NAT)
+    assert traj.termination is None
+    assert len(calls) == 4 * 40 + 40 + 1
+
+
 @pytest.mark.parametrize("model", ["classical", "quantum"])
 def test_push_particle_builds_no_particle_state_per_stage(monkeypatch, model):
     # position, velocity and charges go straight to the force law
@@ -305,6 +384,26 @@ def test_push_particle_rejects_bad_arguments():
         push_particle(particle(), sampler, "semi-classical", 0.1, 10, NAT)
     with pytest.raises(ValueError):
         push_particle(particle(), sampler, "classical", -0.1, 10, NAT)
+    # a start the sampler excludes; at 1e-110 the first field would divide by zero
+    monopole = MonopoleSampler(0.05, np.zeros(3), NAT)
+    for x in ((1e-110, 0.0, 0.0), (1e-7, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="outside the sampler domain"):
+            push_particle(particle(x=x, v=(0.0, 0.05, 0.0)), monopole, "quantum", 0.05, 10, NAT)
+
+
+def test_a_field_that_divides_by_zero_ends_the_push_as_a_non_finite_state():
+    # numpy would give an inf or nan field where Python floats raise
+    class Singular(UniformFieldSampler):
+        def sample(self, x, t):
+            if t > 0.25:
+                raise ZeroDivisionError("float division by zero")
+            return super().sample(x, t)
+
+    traj = push_particle(particle(v=(0.01, 0.0, 0.0)), Singular(ZERO3, ZERO3), "classical",
+                         0.1, 10, NAT)
+    assert traj.termination == "non-finite state"
+    assert len(traj) == 3  # t = 0.3 is the first stage that raises
+    assert np.all(np.isfinite(traj.force))
 
 
 # --- plane bookkeeping ----------------------------------------------------------

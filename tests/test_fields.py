@@ -351,6 +351,14 @@ def test_point_fields_reject_the_origin():
         point_magnetic_field(1.0, np.zeros(3), NAT)
 
 
+def test_point_magnetic_field_follows_numpy_where_floats_overflow():
+    # a cube that overflows reads inf, as a numpy float does, so the far field is zero
+    assert point_magnetic_field(1.0, (1e103, 0.0, 0.0), NAT) == (0.0, 0.0, 0.0)
+    # a cube that underflows leaves a zero divisor, where numpy would give inf
+    with pytest.raises(ZeroDivisionError):
+        point_magnetic_field(1.0, (1e-110, 0.0, 0.0), NAT)
+
+
 # --- serialization -----------------------------------------------------------------
 
 
@@ -444,8 +452,15 @@ def test_dual_rotation_and_force_law_are_written_once():
     package = Path(dualfield.__file__).parent
     trig = _callers(package / "dualcore.py", {"math.cos", "math.sin"})
     assert trig == {"_rotate": ["math.cos", "math.sin"]}
-    cross = _callers(package / "dynamics.py", {"np.cross"})
-    assert cross == {"quantum_lorentz_force": ["np.cross"], "plane_normal": ["np.cross"]}
+    # one componentwise force kernel on floats; np.cross is left to the orbit plane
+    dynamics_source = package / "dynamics.py"
+    assert _callers(dynamics_source, {"np.cross"}) == {"plane_normal": ["np.cross"]}
+    law = _callers(dynamics_source, {"_force_law"})
+    assert law == {"push_particle": ["_force_law"], "quantum_lorentz_force": ["_force_law"]}
+    monopole = {}
+    for path in sorted(package.glob("*.py")):
+        monopole.update(_callers(path, {"point_magnetic_field"}))
+    assert monopole == {"MonopoleSampler": ["point_magnetic_field"]}
 
 
 def test_mode_observables_are_written_once():
