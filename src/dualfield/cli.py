@@ -83,6 +83,7 @@ from .modes import (
 DEFAULT_THETAS = (math.pi / 6, math.pi / 4, math.pi / 2, 3 * math.pi / 2)
 # largest Coulomb lattice nmax = kmax / dk; the acceptance gate needs 363, the defaults 100
 MAX_LATTICE_NMAX = 1000
+MAX_GRID_N = 64  # largest cells per grid axis; tier-1, defaults and benchmark use at most 32
 # largest monopole-flyby step count; the default, the tests and the acceptance gate use 1600
 MAX_FLYBY_STEPS = 100_000
 
@@ -182,7 +183,7 @@ class ScenarioConfig:
         return np.asarray(parts)
 
     def grid(self, default_n: int = 32) -> Grid3:
-        n = self.get_vector("grid", "n", [default_n] * 3)
+        n = self.get_vector("grid", "n", [default_n] * 3, at_most=MAX_GRID_N)
         L = self.get_vector("grid", "L", [2.0 * math.pi] * 3)
         if np.any(n != np.round(n)):
             raise ConfigError(f"[grid] n must be whole cell counts, got {self._raw('grid', 'n')!r}")

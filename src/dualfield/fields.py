@@ -17,7 +17,8 @@ along the axis vanish there), and source spectra are zero on the plane.
 A grid sum of a product of two real fields is the Parseval sum
 ``sum w Re(conj(f) g) / N`` over the half spectrum, with ``w = 1`` on the
 planes kz = 0 and kz = nz/2 and ``w = 2`` elsewhere.  ``_transverse_hat``
-is the one transverse projector; it acts on half spectra.
+is the one transverse projector on half spectra, ``_kdot`` the one k . v over
+the component axis and ``_inv_ksquared`` the one 1 / k^2 (0 where k is 0).
 
 Sources are Gaussian-smeared point carriers.  Deposition synthesizes the
 periodic image sum of the Gaussian directly from its analytic spectrum,
@@ -118,6 +119,20 @@ def _kgrid(grid: Grid3) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _ksquared(grid: Grid3) -> np.ndarray:
     return np.sum(_kgrid(grid) ** 2, axis=0)
+
+
+@lru_cache(maxsize=16)
+def _inv_ksquared(grid: Grid3) -> np.ndarray:
+    """1 / k^2, and 0 wherever ``_kgrid`` is zero."""
+    k2 = _ksquared(grid)
+    return np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0.0)
+
+
+def _kdot(k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """k . v over the component axis of half spectra (..., 3, nx, ny, nz') or a velocity."""
+    if v.ndim == 1:
+        v = v[:, None, None, None]
+    return k[0] * v[..., 0, :, :, :] + k[1] * v[..., 1, :, :, :] + k[2] * v[..., 2, :, :, :]
 
 
 def _to_spectrum(x: np.ndarray) -> np.ndarray:
@@ -320,8 +335,7 @@ def spectral_gradient(data: np.ndarray, grid: Grid3) -> np.ndarray:
 
 def spectral_divergence(data: np.ndarray, grid: Grid3) -> np.ndarray:
     """Divergence of a real vector grid array, shape (nx, ny, nz)."""
-    terms = 1j * _kgrid(grid) * _to_spectrum(data)
-    return _to_grid(terms[0] + terms[1] + terms[2])
+    return _to_grid(1j * _kdot(_kgrid(grid), _to_spectrum(data)))
 
 
 def _transverse_hat(hat: np.ndarray, grid: Grid3) -> np.ndarray:
@@ -331,10 +345,7 @@ def _transverse_hat(hat: np.ndarray, grid: Grid3) -> np.ndarray:
     Nyquist corners, whose Nyquist-free wavevector is also zero, stay whole.
     """
     k = _kgrid(grid)
-    k2 = _ksquared(grid)
-    kdotv = sum(k[axis] * hat[..., axis, :, :, :] for axis in range(3))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        proj = np.where(k2 > 0, kdotv / np.where(k2 > 0, k2, 1.0), 0.0)
+    proj = _kdot(k, hat) * _inv_ksquared(grid)
     trans = hat - k * proj[..., None, :, :, :]
     trans[..., 0, 0, 0] = 0.0
     return trans
@@ -356,12 +367,8 @@ def coulomb_field_from_density(density: ScalarField, prefactor: float) -> Vector
     neutralizing background.
     """
     grid = density.grid
-    k = _kgrid(grid)
-    k2 = _ksquared(grid)
-    rho_hat = _to_spectrum(density.data)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        phi = np.where(k2 > 0, rho_hat / np.where(k2 > 0, k2, 1.0), 0.0)
-    return VectorField(grid, _to_grid(-1j * prefactor * k * phi))
+    phi = _to_spectrum(density.data) * _inv_ksquared(grid)
+    return VectorField(grid, _to_grid(-1j * prefactor * _kgrid(grid) * phi))
 
 
 def point_magnetic_field(qm: float, offset, units: UnitSystem) -> tuple[float, float, float]:

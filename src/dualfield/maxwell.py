@@ -54,6 +54,8 @@ from .fields import (
     Grid3,
     PointSource,
     _curl_hat,
+    _inv_ksquared,
+    _kdot,
     _kgrid,
     _ksquared,
     _to_grid,
@@ -105,20 +107,17 @@ def _cis(phase: np.ndarray) -> np.ndarray:
 
 
 def _geometric_sum(n: int, em1, emn, w1: np.ndarray, wn: np.ndarray) -> np.ndarray:
-    """sum_{m<n} r^m = expm1(n log r) / expm1(log r), and n where log r = 0.
+    """sum_{m<n} r^m = expm1(n log r) / expm1(log r), and n where |log r| < 1e-150.
 
     log r = a + i b is given as em1 = expm1(a), w1 = exp(i b / 2), and the
     same of n log r as emn, wn.  expm1(a + i b) = em1 w1^2 + 2 i Im(w1) w1
-    keeps its accuracy near zero without a complex log or power.
+    keeps its accuracy near zero without a complex log or power.  The limit n,
+    exact to round-off there, keeps a subnormal denominator from overflowing.
     """
     den = em1 * w1 * w1 + 2j * w1.imag * w1
-    flat = den == 0.0
+    flat = np.abs(den) < 1e-150
     num = emn * wn * wn + 2j * wn.imag * wn
     return np.where(flat, float(n), num / np.where(flat, 1.0, den))
-
-
-def _kdot(k: np.ndarray, hat: np.ndarray) -> np.ndarray:
-    return k[0] * hat[0] + k[1] * hat[1] + k[2] * hat[2]
 
 
 def step_symmetric_maxwell(state: EMState, dt: float, units: UnitSystem, steps: int = 1) -> EMState:
@@ -142,10 +141,8 @@ def step_symmetric_maxwell(state: EMState, dt: float, units: UnitSystem, steps: 
 
     grid = state.grid
     k = _kgrid(grid)
-    k2 = _ksquared(grid)
-    omega = units.c * np.sqrt(k2)
+    omega = units.c * np.sqrt(_ksquared(grid))
     inv_omega = np.divide(1.0, omega, out=np.zeros_like(omega), where=omega > 0.0)
-    inv_k2 = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0.0)
     x = dt * omega
     x2 = x * x
     # mu = M(i x) in polar form: |mu|^2 - 1 = x^8/576 - x^6/72, no complex log
@@ -195,9 +192,9 @@ def step_symmetric_maxwell(state: EMState, dt: float, units: UnitSystem, steps: 
             total += g
 
     (E_hat, E_lon, E_rot), (B_hat, B_lon, B_rot) = sums
-    E_hat -= k * (inv_k2 * E_lon)
+    E_hat -= k * (_inv_ksquared(grid) * E_lon)
     E_hat += units.c**2 * _curl_hat(k, B_rot)
-    B_hat -= k * (inv_k2 * B_lon)
+    B_hat -= k * (_inv_ksquared(grid) * B_lon)
     B_hat -= _curl_hat(k, E_rot)
 
     t = state.t

@@ -31,10 +31,13 @@ On the mode lattice this package evaluates it as a cell quadrature with
 weights ``w_n = integral of d^3k / k^2 over the cell centred on k_n``:
 near the origin (including the k = 0 cell, whose weight is finite) the cell
 integrals are computed by Gauss quadrature, far cells use the curvature-
-corrected midpoint rule.  Plain midpoint weights ``dk^3 / k_n^2`` would
-instead converge to the *periodic* (image-summed) interaction, which at the
-documented cutoffs is biased by roughly 2.8 * r * dk / (2 pi) (about 13%),
-far outside the required agreement with the open-space Coulomb law.
+corrected midpoint rule.  The near cells of the octant are one batched
+tensor Gauss-Legendre sum per point count (16 points per axis next to the
+origin, 8 further out); the k = 0 cell has its own radial face rule.
+Plain midpoint weights ``dk^3 / k_n^2`` would instead converge to the
+*periodic* (image-summed) interaction, which at the documented cutoffs is
+biased by roughly 2.8 * r * dk / (2 pi) (about 13%), far outside the
+required agreement with the open-space Coulomb law.
 
 The cell weights, the spherical cutoff and the Gaussian smearing factor are
 all even in each lattice coordinate on its own, so in the pair sum of
@@ -235,36 +238,27 @@ def _zero_cell_weight() -> float:
     return 3.0 * float(np.sum(W / (1.0 + U**2 + V**2)))
 
 
-def _cell_weight_gauss(n: tuple[int, int, int], points: int) -> float:
-    x, w = np.polynomial.legendre.leggauss(points)
-    ax = [ni + 0.5 * x for ni in n]
-    X, Y, Z = np.meshgrid(*ax, indexing="ij")
-    W = (
-        (0.5 * w)[:, None, None]
-        * (0.5 * w)[None, :, None]
-        * (0.5 * w)[None, None, :]
-    )
-    return float(np.sum(W / (X**2 + Y**2 + Z**2)))
-
-
 @lru_cache(maxsize=1)
 def _near_weight_table() -> np.ndarray:
     """Dimensionless exact cell weights of the octant 0 <= n_a <= _NEAR, indexed n.
 
     The weights are even in each axis, so the octant stands for all signs.
+    Every off-origin cell is one tensor Gauss-Legendre sum of 1/|u|^2 over
+    its unit cube, all cells of a point count in one batch: 16 points per
+    axis where max(n) <= 2, 8 elsewhere.
     """
     size = _NEAR + 1
-    table = np.zeros((size, size, size))
-    for ix in range(size):
-        for iy in range(size):
-            for iz in range(size):
-                if (ix, iy, iz) == (0, 0, 0):
-                    value = _zero_cell_weight()
-                else:
-                    points = 16 if max(ix, iy, iz) <= 2 else 8
-                    value = _cell_weight_gauss((ix, iy, iz), points)
-                table[ix, iy, iz] = value
-    return table
+    cells = np.indices((size,) * 3).reshape(3, -1)
+    reach = cells.max(axis=0)
+    table = np.empty(size**3)
+    for points, rows in ((16, (reach > 0) & (reach <= 2)), (8, reach > 2)):
+        x, w = np.polynomial.legendre.leggauss(points)
+        X, Y, Z = (n[rows, None] + 0.5 * x for n in cells)
+        r2 = X[:, :, None, None] ** 2 + Y[:, None, :, None] ** 2 + Z[:, None, None, :] ** 2
+        weights = np.multiply.outer(np.outer(0.5 * w, 0.5 * w), 0.5 * w)
+        table[rows] = np.sum(weights / r2, axis=(1, 2, 3))
+    table[0] = _zero_cell_weight()
+    return table.reshape((size,) * 3)
 
 
 def _pair_kernel(rvecs: np.ndarray, s2: np.ndarray, dk: float, kmax: float,

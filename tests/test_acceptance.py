@@ -16,6 +16,7 @@ from dualfield.dualcore import (
     FieldVecPair,
     PotentialPair,
     UnitSystem,
+    field_quadratic_form,
     inverse_rotate_fields,
     rotate_charges,
     rotate_potentials,
@@ -36,7 +37,12 @@ from dualfield.fields import (
     coulomb_field_from_density,
     deposit_sources,
 )
-from dualfield.maxwell import EMState, dual_covariance_residual
+from dualfield.maxwell import (
+    EMState,
+    dual_covariance_residual,
+    rotate_em_state,
+    step_symmetric_maxwell,
+)
 from dualfield.modes import (
     ModeAmplitudeSet,
     ModeSet,
@@ -119,8 +125,21 @@ def test_criterion_2_representation_equivalence():
             )
             assert residual < 1e-10, (label, theta, residual)
             worst = max(worst, residual)
+    # sensitivity: rotating the fields but not the charges breaks covariance
+    _, state, _ = cases[1]
+    evolved = step_symmetric_maxwell(state, dt, NAT, steps)
+    floor = math.inf
+    for theta in THETAS:
+        fields_only = replace(state, fields=inverse_rotate_fields(state.fields, theta, NAT))
+        first = step_symmetric_maxwell(fields_only, dt, NAT, steps).fields
+        last = rotate_em_state(evolved, theta, NAT).fields
+        diff = FieldVecPair(first.E - last.E, first.B - last.B)
+        defect = field_quadratic_form(diff, NAT) / field_quadratic_form(last, NAT)
+        floor = min(floor, math.sqrt(defect))
+    assert floor > 1e-5
     announce(2, "representation-equivalence",
-             f"32^3 grid, {steps} steps, 4 angles, 3 source setups, max {worst:.2e} < 1e-10")
+             f"32^3 grid, {steps} steps, 4 angles, 3 source setups, max {worst:.2e} < 1e-10; "
+             f"fields rotated without charges {floor:.2e} > 1e-5")
 
 
 def test_criterion_3_noether_triviality():
@@ -281,11 +300,17 @@ def test_criterion_7_helicity_and_spin():
     pp, dpp = synthesize_potentials(amp_plus, 0.3, grid, NAT)
     S = spin_observable(pp, dpp, grid, NAT)
     worst_rotation = 0.0
+    rotation_floor = math.inf  # sensitivity: rotating A but not C changes the spin
     for phi in (0.4, math.pi / 2, 2.0):
-        S_rot = spin_observable(rotate_potentials(pp, phi, NAT), rotate_potentials(dpp, phi, NAT),
-                                grid, NAT)
+        rot, drot = rotate_potentials(pp, phi, NAT), rotate_potentials(dpp, phi, NAT)
+        S_rot = spin_observable(rot, drot, grid, NAT)
         worst_rotation = max(worst_rotation, float(np.max(np.abs(S_rot - S)) / np.max(np.abs(S))))
+        S_half = spin_observable(PotentialPair(rot.A, pp.C), PotentialPair(drot.A, dpp.C),
+                                 grid, NAT)
+        rotation_floor = min(rotation_floor,
+                             float(np.max(np.abs(S_half - S)) / np.max(np.abs(S))))
     assert worst_rotation < 1e-12
+    assert rotation_floor > 1e-2
 
     ms_many = ModeSet.from_grid(grid, kmax=2.5)
     rng = np.random.default_rng(9)
@@ -301,7 +326,8 @@ def test_criterion_7_helicity_and_spin():
     assert drift < 1e-10
     announce(7, "helicity-and-spin",
              f"signs +/-{w**2:.2f} exact, linear zero, rotation invariance "
-             f"{worst_rotation:.1e} <= 1e-12, free-evolution drift {drift:.1e} < 1e-10")
+             f"{worst_rotation:.1e} <= 1e-12 (A rotated without C {rotation_floor:.2e} > 1e-2), "
+             f"free-evolution drift {drift:.1e} < 1e-10")
 
 
 def test_criterion_8_force_models():

@@ -364,6 +364,13 @@ def test_two_field_cross_judges_small_energies_by_their_ratio(tmp_path):
         ("covariance", "--override grid.L=1e200 --override grid.n=8 "
                        "--override evolution.steps=1", 1),
         ("helicity", "--override grid.L=1e-200", 1),
+        ("covariance", "grid.n=1e18", 1),
+        ("noether", "grid.n=1e18", 1),
+        ("helicity", "grid.n=1e18", 1),
+        ("covariance", f"grid.n={cli.MAX_GRID_N + 2}", 1),
+        ("covariance", "--override source.1.velocity=1e-300 "
+                       "--override source.2.velocity=1e-300", 0),
+        ("covariance", "evolution.dt=5e-324", 0),
     ],
 )
 def test_invalid_inputs_exit_with_their_code_not_a_traceback(tmp_path, capsys, key, override, code):

@@ -484,6 +484,54 @@ def test_mode_observables_are_written_once():
     assert len(add_at) == 2
 
 
+def _divides_by_k2(node):
+    """Whether ``node`` divides by k^2: a ``/`` or an ``np.divide`` whose
+    denominator names ``k2`` or ``_ksquared``."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+        denominator = node.right
+    elif isinstance(node, ast.Call) and _called(node.func) == "np.divide" and len(node.args) > 1:
+        denominator = node.args[1]
+    else:
+        return False
+    return any(name in ast.unparse(denominator) for name in ("k2", "ksquared"))
+
+
+def _guards_k2_division(node):
+    return (isinstance(node, ast.With)
+            and any(_called(getattr(item.context_expr, "func", None)) == "np.errstate"
+                    for item in node.items)
+            and any(_divides_by_k2(n) for stmt in node.body for n in ast.walk(stmt)))
+
+
+def test_spectral_and_lattice_tables_are_written_once():
+    package = Path(dualfield.__file__).parent
+
+    def defining(test, stems=None):
+        """``module.name`` of each top-level definition with a node that passes ``test``."""
+        found = set()
+        for path in sorted(package.glob("*.py")):
+            if stems is None or path.stem in stems:
+                found.update(f"{path.stem}.{getattr(stmt, 'name', None)}"
+                             for stmt in ast.parse(path.read_text()).body
+                             if any(test(n) for n in ast.walk(stmt)))
+        return found
+
+    # one batched near-cell Gauss rule besides the origin cell's
+    gauss = defining(lambda n: isinstance(n, ast.Call)
+                     and ast.unparse(n.func) == "np.polynomial.legendre.leggauss")
+    assert gauss == {"modes._zero_cell_weight", "modes._near_weight_table"}
+    # one k . v and one guarded 1/k^2, both in fields
+    helpers = defining(lambda n: isinstance(n, ast.FunctionDef)
+                       and n.name in {"_kdot", "_inv_ksquared"})
+    assert helpers == {"fields._kdot", "fields._inv_ksquared"}
+    spectral = {"fields", "maxwell"}
+    assert defining(_divides_by_k2, spectral) == {"fields._inv_ksquared"}
+    assert defining(_guards_k2_division) == set()
+    components = defining(lambda n: isinstance(n, ast.Subscript)
+                          and isinstance(n.value, ast.Name) and n.value.id == "k", spectral)
+    assert components == {"fields._curl_hat", "fields._kdot"}
+
+
 # Public names kept although no scenario, no other module and no acceptance
 # criterion calls them; every other public name must have such a caller.
 NO_CALLER_ALLOWED = {

@@ -122,6 +122,24 @@ def test_static_sources_leave_fields_untouched():
     assert np.max(np.abs(out.fields.B)) == 0.0
 
 
+def test_a_nearly_static_mover_evolves_like_a_static_source():
+    # dt k . v is subnormal, and so are the geometric sums' denominators; they
+    # take their limit n there instead of overflowing the quotient
+    grid = cube(16)
+    zeros = np.zeros((3,) + grid.shape)
+
+    def evolved(speed):
+        source = moving_source((3.0, 3.0, 3.0), (speed,) * 3, 1.0, 0.5, sigma=math.pi / 4)
+        state = EMState(0.0, grid, FieldVecPair(zeros, zeros), [source])
+        out = step_symmetric_maxwell(state, 0.01, NAT, steps=10)
+        return np.concatenate([out.fields.E, out.fields.B])
+
+    crawl = evolved(1e-300)
+    assert np.max(np.abs(crawl - evolved(0.0))) <= 2.5e-302
+    slow = evolved(1e-6)  # the same linear response, scaled
+    assert np.max(np.abs(1e294 * crawl - slow)) <= 1e-6 * np.max(np.abs(slow))
+
+
 @pytest.mark.parametrize("kint", [(1, 0, 0), (1, 1, 0), (2, 1, 1)])
 def test_plane_wave_advances_with_the_right_phase(kint):
     grid = cube(16)
