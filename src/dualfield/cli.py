@@ -86,6 +86,7 @@ MAX_LATTICE_NMAX = 1000
 MAX_GRID_N = 64  # largest cells per grid axis; tier-1, defaults and benchmark use at most 32
 # largest monopole-flyby step count; the default, the tests and the acceptance gate use 1600
 MAX_FLYBY_STEPS = 100_000
+WAVE_INDEX_MAX = 3  # largest wavenumber index per axis of random_wave_fields
 
 
 class _Parser(argparse.ArgumentParser):
@@ -204,12 +205,17 @@ class ScenarioConfig:
 
     def lattice(self) -> tuple[list[PointSource], ModeSet]:
         """At least two ``[source.N]`` sources and their Coulomb lattice at
-        ``[modes] kmax_sigma`` and ``dk_r``.  A spacing ``dk`` that is not a
-        normal float, or an ``nmax = kmax / dk`` above ``MAX_LATTICE_NMAX``, is
-        rejected before any kernel allocates."""
+        ``[modes] kmax_sigma`` and ``dk_r``.  An overflowing pair product of
+        ``(qe, c eps0 qm)``, a ``dk * dk`` that is not a normal float, or an
+        ``nmax = kmax / dk`` above ``MAX_LATTICE_NMAX`` is rejected first."""
         sources = self.sources()
         if len(sources) < 2:
             raise ConfigError(f"{self.name} needs at least two [source.N] sections")
+        c_eps0 = self.units.c * self.units.eps0
+        m = sorted(max(abs(s.charges.qe), abs(c_eps0 * s.charges.qm)) for s in sources)
+        if not math.isfinite(m[-1] * m[-2]):  # the largest pair product
+            raise ConfigError("[units] eps0 and the [source.N] qe and qm: a pair product of "
+                              f"(qe, c eps0 qm) overflows, got eps0 {self.units.eps0!r}")
         kmax_sigma = self.get_float("modes", "kmax_sigma", 6.0, above=0)
         dk_r = self.get_float("modes", "dk_r", 0.3, above=0)
         keys = ", ".join(["[modes] kmax_sigma", "[modes] dk_r"] + [
@@ -219,9 +225,10 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(f"{keys}: {exc}") from exc
         dk, nmax = ms.dk[0], ms.kmax / ms.dk[0]
-        if not (dk >= sys.float_info.min and nmax <= MAX_LATTICE_NMAX):
-            raise ConfigError(f"{keys} give lattice spacing {dk!r} and nmax {nmax!r}; the "
-                              f"spacing must be a normal float and nmax at most {MAX_LATTICE_NMAX}")
+        if not (sys.float_info.min <= dk * dk <= sys.float_info.max
+                and nmax <= MAX_LATTICE_NMAX):
+            raise ConfigError(f"{keys} give lattice spacing {dk!r} and nmax {nmax!r}; dk * dk "
+                              f"must be a normal float and nmax at most {MAX_LATTICE_NMAX}")
         return sources, ms
 
     def thetas(self) -> list[float]:
@@ -250,6 +257,12 @@ class ScenarioConfig:
             if self._raw(section, "sigma") not in (None, "auto"):
                 sigma = self.get_float(section, "sigma", None, above=0)
             entries.append((section, position, velocity, qe, qm, sigma))
+        for i, (a, pa, *_) in enumerate(entries):
+            for b, pb, *_ in entries[i + 1:]:
+                d = [x - y for x, y in zip(pa.tolist(), pb.tolist())]  # floats: no overflow warning
+                if not math.isfinite(sum(x * x for x in d)):
+                    raise ConfigError(f"[{a}] position and [{b}] position: their squared distance "
+                                      f"overflows, got {pa} and {pb}")
         sources = []
         positions = [e[1] for e in entries]
         for section, position, velocity, qe, qm, sigma in entries:
@@ -332,16 +345,15 @@ class Checks:
         self.summary[name] = value
 
 
-def random_wave_fields(grid: Grid3, units: UnitSystem, rng, n_waves: int = 5,
-                       kint_max: int = 3) -> FieldVecPair:
-    """Superpose a few random transverse plane waves (a valid free field)."""
+def random_wave_fields(grid: Grid3, units: UnitSystem, rng) -> FieldVecPair:
+    """Superpose five random transverse plane waves (a valid free field)."""
     E = np.zeros((3,) + grid.shape)
     B = np.zeros((3,) + grid.shape)
     x, y, z = np.meshgrid(*grid.axes(), indexing="ij")
     base = [2.0 * math.pi / L for L in grid.L]
     made = 0
-    while made < n_waves:
-        kint = rng.integers(-kint_max, kint_max + 1, size=3)
+    while made < 5:
+        kint = rng.integers(-WAVE_INDEX_MAX, WAVE_INDEX_MAX + 1, size=3)
         if not np.any(kint):
             continue
         k = kint * np.asarray(base)
@@ -448,27 +460,29 @@ def rotation_property_residuals(count: int, seed: int, units: UnitSystem) -> dic
 
 def run_rotation_properties(cfg: ScenarioConfig, outdir: Path) -> Checks:
     count = cfg.get_int("sweep", "count", 2000, at_least=1)
-    limit = cfg.get_float("checks", "max_residual", 1e-12, at_least=0)
     cfg.check_all_read()
     residuals = rotation_property_residuals(count, cfg.seed, cfg.units)
     checks = Checks()
     checks.record("sweep_count", count)
     for name in sorted(residuals):
-        checks.below(name, residuals[name], limit)
+        checks.below(name, residuals[name], 1e-12)
     return checks
 
 
 def run_dual_covariance(cfg: ScenarioConfig, outdir: Path) -> Checks:
     units = cfg.units
     grid = cfg.grid()
-    if min(grid.n) < 8:
-        # random_wave_fields draws wavenumbers up to 3 per axis, below Nyquist from 8 cells
-        raise ConfigError(f"[grid] n must be at least 8 cells per axis, got {grid.n}")
+    min_cells = 2 * (WAVE_INDEX_MAX + 1)  # the random waves' indices lie below Nyquist
+    if min(grid.n) < min_cells:
+        raise ConfigError(f"[grid] n must be at least {min_cells} cells per axis, got {grid.n}")
     sources = cfg.sources(sigma_fallback=3.0 * max(grid.spacing))
+    # the energy squares each source's Coulomb fields, of scales qe / eps0 and c qm
+    scales = [f for s in sources for f in (s.charges.qe / units.eps0, units.c * s.charges.qm)]
+    if not all(math.isfinite(f * f) for f in scales):
+        raise ConfigError("[units] eps0 and [source.N] qe or qm: the square of qe / eps0 or c qm "
+                          f"overflows for a source, at eps0 {units.eps0!r} and c {units.c!r}")
     dt = cfg.get_float("evolution", "dt", 0.005, above=0)
     steps = cfg.get_int("evolution", "steps", 100, at_least=1)
-    limit = cfg.get_float("checks", "max_residual", 1e-10, at_least=0)
-    max_gauss = cfg.get_float("checks", "max_gauss_residual", 1e-8, at_least=0)
     require_shared = cfg.get_bool("checks", "require_shared_ratio", True)
     thetas = cfg.thetas()
     cfg.check_all_read()
@@ -486,11 +500,11 @@ def run_dual_covariance(cfg: ScenarioConfig, outdir: Path) -> Checks:
         residual = dual_covariance_residual(
             state, theta, steps, dt, units, require_shared_ratio=require_shared
         )
-        checks.below(f"covariance_residual_theta_{theta!r}", residual, limit)
+        checks.below(f"covariance_residual_theta_{theta!r}", residual, 1e-10)
     evolved = step_symmetric_maxwell(state, dt, units, steps)
     rE, rB = gauss_residuals(evolved, units)
-    checks.below("gauss_residual_E", float(rE), max_gauss)
-    checks.below("gauss_residual_B", float(rB), max_gauss)
+    checks.below("gauss_residual_E", float(rE), 1e-8)
+    checks.below("gauss_residual_B", float(rB), 1e-8)
     e0, e1 = field_energy(state, units), field_energy(evolved, units)
     checks.record("final_field_energy", float(e1))
     checks.record("initial_field_energy", float(e0))
@@ -516,17 +530,10 @@ def run_dual_covariance(cfg: ScenarioConfig, outdir: Path) -> Checks:
 def run_coulomb_equivalence(cfg: ScenarioConfig, outdir: Path) -> Checks:
     units = cfg.units
     sources, ms = cfg.lattice()
-    theta_raw = cfg._raw("rotation", "theta")
-    if theta_raw is None or theta_raw == "auto":
-        reference = next(
-            (s for s in sources if charge_norm(s.charges, units) > 0.0), None
-        )
-        if reference is None:
-            raise ConfigError("all sources have zero charge")
-        theta = asymmetrizing_angle(reference.charges, units)
-    else:
-        theta = cfg.get_float("rotation", "theta", 0.0)
-    max_rel = cfg.get_float("checks", "max_rel", 0.01, at_least=0)
+    reference = next((s for s in sources if charge_norm(s.charges, units) > 0.0), None)
+    if reference is None:
+        raise ConfigError("all sources have zero charge")
+    theta = asymmetrizing_angle(reference.charges, units)
     cfg.check_all_read()
     e_real = coulomb_energy_real(sources, units)
     e_mode = symmetric_charge_energy(sources, theta, ms, units)
@@ -537,15 +544,13 @@ def run_coulomb_equivalence(cfg: ScenarioConfig, outdir: Path) -> Checks:
     checks.record("energy_mode", float(e_mode))
     checks.record("lattice_dk", ms.dk[0])
     checks.record("lattice_kmax", float(ms.kmax))
-    checks.below("coulomb_rel_difference", rel, max_rel)
+    checks.below("coulomb_rel_difference", rel, 0.01)
     return checks
 
 
 def run_two_field_cross(cfg: ScenarioConfig, outdir: Path) -> Checks:
     units = cfg.units
     sources, ms = cfg.lattice()
-    max_rel = cfg.get_float("checks", "max_rel", 0.01, at_least=0)
-    max_em = cfg.get_float("checks", "max_em", 0.0, at_least=0)
     cfg.check_all_read()
     ee, mm, em = two_field_energy(sources, ms, units)
     positions = np.stack([s.position for s in sources])
@@ -564,9 +569,9 @@ def run_two_field_cross(cfg: ScenarioConfig, outdir: Path) -> Checks:
     checks.record("energy_mm", float(mm))
     checks.record("energy_ee_reference", float(ee_ref))
     checks.record("energy_mm_reference", float(mm_ref))
-    checks.below("cross_term", abs(em), max_em)
-    checks.below("ee_rel_difference", rel(ee, ee_ref), max_rel)
-    checks.below("mm_rel_difference", rel(mm, mm_ref), max_rel)
+    checks.below("cross_term", abs(em), 0.0)
+    checks.below("ee_rel_difference", rel(ee, ee_ref), 0.01)
+    checks.below("mm_rel_difference", rel(mm, mm_ref), 0.01)
     return checks
 
 
@@ -574,8 +579,6 @@ def run_noether_zero(cfg: ScenarioConfig, outdir: Path) -> Checks:
     units = cfg.units
     grid, ms = cfg.modes()
     count = cfg.get_int("sweep", "count", 10, at_least=1)
-    limit = cfg.get_float("checks", "max_residual", 1e-10, at_least=0)
-    min_violating = cfg.get_float("checks", "min_violating", 1e-3, above=0)
     cfg.check_all_read()
     rng = np.random.default_rng(cfg.seed)
 
@@ -604,9 +607,9 @@ def run_noether_zero(cfg: ScenarioConfig, outdir: Path) -> Checks:
     checks = Checks()
     checks.record("config_count", count)
     checks.record("mode_count", ms.n_modes)
-    checks.below("noether_charge_rel", worst_charge, limit)
-    checks.below("noether_current_rel", worst_current, limit)
-    checks.above("violating_charge_rel", violating, min_violating)
+    checks.below("noether_charge_rel", worst_charge, 1e-10)
+    checks.below("noether_current_rel", worst_current, 1e-10)
+    checks.above("violating_charge_rel", violating, 1e-3)
     return checks
 
 
@@ -616,7 +619,6 @@ def run_helicity_conservation(cfg: ScenarioConfig, outdir: Path) -> Checks:
     theta = cfg.get_float("rotation", "theta", 0.6)
     t_final = cfg.get_float("evolution", "t_final", 4.0, above=0)
     samples = cfg.get_int("evolution", "samples", 9, at_least=2)
-    max_drift = cfg.get_float("checks", "max_drift", 1e-10, at_least=0)
     cfg.check_all_read()
 
     rng = np.random.default_rng(cfg.seed)
@@ -643,7 +645,7 @@ def run_helicity_conservation(cfg: ScenarioConfig, outdir: Path) -> Checks:
     checks = Checks()
     checks.record("mode_count", ms.n_modes)
     checks.record("helicity_initial", float(helicities[0]))
-    checks.below("helicity_drift", drift, max_drift)
+    checks.below("helicity_drift", drift, 1e-10)
     return checks
 
 
@@ -658,8 +660,6 @@ def run_monopole_flyby(cfg: ScenarioConfig, outdir: Path) -> Checks:
     mass = cfg.get_float("particle", "mass", 1.0, above=0)
     dt = cfg.get_float("evolution", "dt", 0.05, above=0)
     steps = cfg.get_int("evolution", "steps", 1600, at_least=1, at_most=MAX_FLYBY_STEPS)
-    min_classical = cfg.get_float("checks", "min_classical_ratio", 1e-2, above=0)
-    max_quantum = cfg.get_float("checks", "max_quantum_ratio", 1e-8, at_least=0)
     cfg.check_all_read()
     # the squared norms the run forms, and their product, which bounds |r x v|^2
     offset = [a - b for a, b in zip(position.tolist(), monopole_pos.tolist())]
@@ -699,8 +699,8 @@ def run_monopole_flyby(cfg: ScenarioConfig, outdir: Path) -> Checks:
         checks.record(f"{model}_steps", len(trajectory) - 1)
         checks.record(f"{model}_termination", trajectory.termination or "completed")
         checks.record(f"{model}_in_plane_span", span)
-    checks.above("classical_out_of_plane_ratio", ratios["classical"], min_classical)
-    checks.below("quantum_out_of_plane_ratio", ratios["quantum"], max_quantum)
+    checks.above("classical_out_of_plane_ratio", ratios["classical"], 1e-2)
+    checks.below("quantum_out_of_plane_ratio", ratios["quantum"], 1e-8)
     return checks
 
 

@@ -107,20 +107,18 @@ def classical_lorentz_force(
 
 
 class UniformFieldSampler:
-    """Spatially uniform fields, declared either fully transverse or not.
+    """Spatially uniform fields, declared fully transverse.
 
     A uniform field is a k = 0 mode, which the grid decomposition assigns to
-    the longitudinal part; physical setups that realize a locally uniform
-    transverse wave are modeled by declaring ``transverse=True``.
+    the longitudinal part; the sampler instead models a locally uniform
+    transverse wave, so its transverse parts are the full fields.
     """
 
-    def __init__(self, E: np.ndarray, B: np.ndarray, *, transverse: bool = True) -> None:
+    def __init__(self, E: np.ndarray, B: np.ndarray) -> None:
         self._full = (_floats(E), _floats(B))
-        zero = (0.0, 0.0, 0.0)
-        self._trans = self._full if transverse else (zero, zero)
 
     def sample(self, x, t: float):
-        return self._full, self._trans
+        return self._full, self._full
 
     def in_domain(self, x) -> bool:
         return True

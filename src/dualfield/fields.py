@@ -209,8 +209,8 @@ class PointSource:
         self.sigma = float(self.sigma)
         if not np.all(np.isfinite(self.position)) or not np.all(np.isfinite(self.velocity)):
             raise ValueError("source position and velocity must be finite")
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not (self.sigma > 0 and sys.float_info.min <= self.sigma * self.sigma < math.inf):
+            raise ValueError(f"sigma must be positive with a normal-float square, got {self.sigma}")
 
     def at_time(self, dt: float, box: tuple[float, float, float] | None = None) -> "PointSource":
         """Source moved ballistically by dt, optionally wrapped into the box."""
@@ -272,8 +272,8 @@ def source_spectra(
     return rho_e, rho_m, *currents
 
 
-def check_shared_ratio(sources: list["PointSource"], rtol: float = 1e-12) -> None:
-    """Raise ``SharedRatioError`` unless all charge pairs are parallel.
+def check_shared_ratio(sources: list["PointSource"]) -> None:
+    """Raise ``SharedRatioError`` unless all charge pairs are parallel, to 1e-12.
 
     Zero charge pairs are compatible with any ratio.
     """
@@ -282,7 +282,7 @@ def check_shared_ratio(sources: list["PointSource"], rtol: float = 1e-12) -> Non
     i, j = np.triu_indices(len(sources), 1)
     cross = qe[i] * qm[j] - qe[j] * qm[i]
     scale = np.abs(qe[i] * qm[j]) + np.abs(qe[j] * qm[i])
-    bad = np.flatnonzero((scale > 0.0) & (np.abs(cross) > rtol * scale))
+    bad = np.flatnonzero((scale > 0.0) & (np.abs(cross) > 1e-12 * scale))
     if bad.size:
         p = bad[0]
         raise SharedRatioError(f"sources {i[p]} and {j[p]} have different qm/qe ratios")

@@ -93,7 +93,7 @@ def cfl_limit(grid: Grid3, units: UnitSystem) -> float:
 
 def _check_sources(sources: list[PointSource], units: UnitSystem) -> None:
     for s in sources:
-        speed = float(np.linalg.norm(s.velocity))
+        speed = math.hypot(*s.velocity)
         if speed >= units.c:
             raise SuperluminalSourceError(f"source velocity {speed} is not below c={units.c}")
 

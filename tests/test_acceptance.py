@@ -19,6 +19,7 @@ from dualfield.dualcore import (
     field_quadratic_form,
     inverse_rotate_fields,
     rotate_charges,
+    rotate_fields,
     rotate_potentials,
 )
 from dualfield.dynamics import (
@@ -92,7 +93,16 @@ def test_criterion_1_dual_rotation_algebra():
     assert len(residuals) == 12
     worst = max(residuals.values())
     assert worst <= 1e-12, residuals
-    announce(1, "dual-rotation-algebra", f"12 properties x 10000 inputs, max {worst:.2e} <= 1e-12")
+    # sensitivity: two rotations against one whose angle is off by 1e-6
+    rng = np.random.default_rng(1)
+    fp = FieldVecPair(rng.normal(size=(3, 100)), rng.normal(size=(3, 100)))
+    twice = rotate_fields(rotate_fields(fp, 0.7, NAT), 1.9, NAT)
+    direct = rotate_fields(fp, 0.7 + 1.9 + 1e-6, NAT)
+    floor = float(np.max(np.abs(np.concatenate([twice.E - direct.E, twice.B - direct.B])))
+                  / np.max(np.abs(np.concatenate([direct.E, direct.B]))))
+    assert floor > 1e-7
+    announce(1, "dual-rotation-algebra", f"12 properties x 10000 inputs, max {worst:.2e} <= 1e-12; "
+             f"angle off by 1e-6 {floor:.2e} > 1e-7")
 
 
 def test_criterion_2_representation_equivalence():
@@ -123,7 +133,7 @@ def test_criterion_2_representation_equivalence():
             residual = dual_covariance_residual(
                 state, theta, steps, dt, NAT, require_shared_ratio=require
             )
-            assert residual < 1e-10, (label, theta, residual)
+            assert residual < 1e-13, (label, theta, residual)
             worst = max(worst, residual)
     # sensitivity: rotating the fields but not the charges breaks covariance
     _, state, _ = cases[1]
@@ -138,7 +148,7 @@ def test_criterion_2_representation_equivalence():
         floor = min(floor, math.sqrt(defect))
     assert floor > 1e-5
     announce(2, "representation-equivalence",
-             f"32^3 grid, {steps} steps, 4 angles, 3 source setups, max {worst:.2e} < 1e-10; "
+             f"32^3 grid, {steps} steps, 4 angles, 3 source setups, max {worst:.2e} < 1e-13; "
              f"fields rotated without charges {floor:.2e} > 1e-5")
 
 
@@ -155,8 +165,8 @@ def test_criterion_3_noether_triviality():
         worst_charge = max(worst_charge, abs(value) / scale)
         f, f_scale = noether_dual_current(pp, dpp, grid, NAT)
         worst_current = max(worst_current, float(np.max(np.abs(f)) / np.max(f_scale)))
-    assert worst_charge < 1e-10
-    assert worst_current < 1e-10
+    assert worst_charge < 1e-13
+    assert worst_current < 1e-13
 
     a1 = rng.normal(size=(ms.n_modes, 4)) + 1j * rng.normal(size=(ms.n_modes, 4))
     a2 = rng.normal(size=(ms.n_modes, 4)) + 1j * rng.normal(size=(ms.n_modes, 4))
@@ -168,7 +178,7 @@ def test_criterion_3_noether_triviality():
     sensitivity = abs(value) / scale
     assert sensitivity > 1e-3
     announce(3, "noether-triviality",
-             f"50 configs: charge {worst_charge:.2e}, current {worst_current:.2e} < 1e-10; "
+             f"50 configs: charge {worst_charge:.2e}, current {worst_current:.2e} < 1e-13; "
              f"violating config {sensitivity:.2e} > 1e-3")
 
 
@@ -323,16 +333,17 @@ def test_criterion_7_helicity_and_spin():
     for t in (0.9, 3.7, 12.0):
         S_t = _spin_from_modes(free_evolve_modes(amp, t, NAT), 0.5, grid)
         drift = max(drift, abs(float(np.linalg.norm(S_t)) - h0) / h0)
-    assert drift < 1e-10
+    assert drift < 1e-13
     announce(7, "helicity-and-spin",
              f"signs +/-{w**2:.2f} exact, linear zero, rotation invariance "
              f"{worst_rotation:.1e} <= 1e-12 (A rotated without C {rotation_floor:.2e} > 1e-2), "
-             f"free-evolution drift {drift:.1e} < 1e-10")
+             f"free-evolution drift {drift:.1e} < 1e-13")
 
 
 def test_criterion_8_force_models():
     rng = np.random.default_rng(21)
     worst_invariance = 0.0
+    floor = math.inf  # sensitivity: rotating the charges but not the fields changes the force
     for _ in range(200):
         fields = FieldVecPair(rng.normal(size=3), rng.normal(size=3))
         v = rng.normal(size=3) * 0.1
@@ -353,7 +364,11 @@ def test_criterion_8_force_models():
         worst_invariance = max(
             worst_invariance, float(np.max(np.abs(force_rot - classical)) / scale)
         )
+        force_half = classical_lorentz_force(v, rotate_charges(charges, theta, NAT), fields, NAT)
+        floor = min(floor, float(np.max(np.abs(force_half - classical)) / scale))
     assert worst_invariance <= 1e-12
+    assert floor > 1e-4
     announce(8, "force-models",
              f"quantum == classical bitwise on transverse fields (200 draws); "
-             f"dual invariance {worst_invariance:.1e} <= 1e-12")
+             f"dual invariance {worst_invariance:.1e} <= 1e-12 "
+             f"(charges rotated without fields {floor:.2e} > 1e-4)")

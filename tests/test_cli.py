@@ -1,5 +1,7 @@
 """End-to-end runs of the scenario command line."""
 
+import contextlib
+import io
 import math
 import textwrap
 import warnings
@@ -282,11 +284,14 @@ def test_oversized_smearing_exits_two(tmp_path):
 
 
 def test_failed_check_exits_three(tmp_path):
-    cfg = write_cfg(tmp_path, BASE["rotation"])
+    # a coarse lattice misses the Coulomb energy by about 18%, against a 1% bound
+    cfg = write_cfg(tmp_path, BASE["coulomb"])
     out = tmp_path / "out"
-    code = cli.main(["run", cfg, "--out", str(out), "--override", "checks.max_residual=1e-30"])
+    code = cli.main(["run", cfg, "--out", str(out), "--override", "modes.dk_r=3"])
     assert code == 3
-    assert read_summary(out)["status"] == "fail"
+    summary = read_summary(out)
+    assert summary["status"] == "fail"
+    assert float(summary["coulomb_rel_difference"]) > 0.1
 
 
 def test_two_field_cross_judges_small_energies_by_their_ratio(tmp_path):
@@ -501,6 +506,16 @@ def test_a_flyby_whose_plane_normal_overflows_exits_one(tmp_path, capsys):
     assert output_files(tmp_path) == []
 
 
+def test_a_covariance_source_whose_field_energy_overflows_exits_one(tmp_path, capsys):
+    # magnetic charges of 1e300 pass one at a time, but their B field squared overflows
+    overrides = ["source.1.qe=0", "source.2.qe=0", "source.1.qm=1e300", "source.2.qm=-1e300"]
+    code = cli.main(["run", write_cfg(tmp_path, BASE["covariance"]), "--out", str(tmp_path / "out")]
+                    + [arg for item in overrides for arg in ("--override", item)])
+    assert code == 1
+    assert "the square of qe / eps0 or c qm overflows" in capsys.readouterr().err
+    assert output_files(tmp_path) == []
+
+
 def test_a_key_read_under_another_case_counts_as_read(tmp_path):
     # configparser folds keys to lower case; the getters ask for "L"
     assert run_with(tmp_path, "covariance", "grid.L=6.283185307179586") == 0
@@ -522,3 +537,106 @@ def test_a_misspelt_key_exits_one_in_every_scenario(tmp_path, capsys, key):
     assert run_with(tmp_path, key, MISSPELT[key]) == 1
     assert named_key(MISSPELT[key]) in capsys.readouterr().err
     assert output_files(tmp_path) == []
+
+
+REMOVED = [
+    ("rotation", "checks.max_residual=1e-12"),
+    ("covariance", "checks.max_residual=1e-10"),
+    ("covariance", "checks.max_gauss_residual=1e-8"),
+    ("coulomb", "checks.max_rel=0.01"),
+    ("coulomb", "rotation.theta=auto"),
+    ("cross", "checks.max_rel=0.01"),
+    ("cross", "checks.max_em=0"),
+    ("noether", "checks.max_residual=1e-10"),
+    ("noether", "checks.min_violating=1e-3"),
+    ("helicity", "checks.max_drift=1e-10"),
+    ("flyby", "checks.min_classical_ratio=1e-2"),
+    ("flyby", "checks.max_quantum_ratio=1e-8"),
+]
+
+
+@pytest.mark.parametrize("key,override", REMOVED)
+def test_a_removed_key_exits_one_even_at_its_old_default(tmp_path, capsys, key, override):
+    # pass bounds are constants, recorded as <name>_limit and <name>_floor
+    assert run_with(tmp_path, key, override) == 1
+    assert named_key(override) in capsys.readouterr().err
+    assert output_files(tmp_path) == []
+
+
+# every key a BASE run reads besides [scenario] name and the COMMON keys each
+# scenario reads; a new key needs an entry
+COMMON = "scenario.seed units.c units.eps0"
+SOURCES = " ".join(f"source.{i}.{k}" for i in (1, 2)
+                   for k in ("position", "velocity", "qe", "qm", "sigma"))
+READS = {
+    "rotation": "sweep.count",
+    "covariance": "grid.n grid.l evolution.dt evolution.steps checks.require_shared_ratio "
+                  f"rotation.thetas {SOURCES}",
+    "coulomb": f"modes.kmax_sigma modes.dk_r {SOURCES}",
+    "cross": f"modes.kmax_sigma modes.dk_r {SOURCES}",
+    "noether": "grid.n grid.l modes.kmax sweep.count",
+    "helicity": "grid.n grid.l modes.kmax rotation.theta evolution.t_final evolution.samples",
+    "flyby": "monopole.qm monopole.position particle.position particle.velocity particle.qe "
+             "particle.qm particle.mass evolution.dt evolution.steps",
+}
+
+
+def keys_read(tmp_path, text):
+    """``section.key`` of every key a run of ``text`` reads, but ``[scenario] name``."""
+    cfg = cli.load_config(write_cfg(tmp_path, text, "keys.ini"), [], None)
+    cli.run_scenario(cfg, tmp_path / "keys")
+    return sorted(f"{section}.{key}" for section, key in cfg._read - {("scenario", "name")})
+
+
+@pytest.mark.parametrize("key", sorted(BASE))
+def test_each_scenario_reads_exactly_its_listed_keys(tmp_path, key):
+    assert keys_read(tmp_path, BASE[key]) == sorted(f"{COMMON} {READS[key]}".split())
+
+
+MENU = ("nan", "inf", "-inf", "0", "-1", "1e-300", "5e-324", "1e300", "1e18", "0.5", "3",
+        "2 0 0", "abc", "")
+SWEEP_BASE = dict(BASE, flyby="""
+        [scenario]
+        name = monopole-flyby
+        [evolution]
+        steps = 200
+        """)
+
+
+def finite_summary(outdir):
+    """True when every number in ``summary.txt`` is finite."""
+    for value in read_summary(outdir).values():
+        try:
+            number = float(value)
+        except ValueError:
+            continue
+        if not math.isfinite(number):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("key", sorted(SWEEP_BASE))
+def test_every_key_at_every_menu_value_exits_with_a_documented_code(tmp_path, key):
+    """Each key the scenario reads, set to each menu value: exit 0, 1, 2 or 3 with
+    no exception or warning; exit 1 leaves no file, exit 0 writes finite numbers."""
+    cfg = write_cfg(tmp_path, SWEEP_BASE[key])
+    faults = []
+    for name in keys_read(tmp_path, SWEEP_BASE[key]):
+        for value in MENU:
+            out = tmp_path / f"{name}={value}"
+            try:
+                with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    warnings.simplefilter("error")
+                    code = cli.main(["run", cfg, "--out", str(out),
+                                     "--override", f"{name}={value}"])
+            except Exception as exc:  # every escape is a fault, recorded to report them all
+                faults.append((name, value, repr(exc)))
+                continue
+            if code not in (0, 1, 2, 3):
+                faults.append((name, value, f"exit {code}"))
+            elif code == 1 and out.exists() and any(out.iterdir()):
+                faults.append((name, value, "exit 1 left a file"))
+            elif code == 0 and not finite_summary(out):
+                faults.append((name, value, "exit 0 wrote a non-finite number"))
+    assert faults == []

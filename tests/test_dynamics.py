@@ -145,7 +145,7 @@ def test_free_particle_goes_straight(model):
 
 def test_uniform_electric_field_gives_the_exact_parabola():
     E0 = 0.004
-    sampler = UniformFieldSampler(E0 * X, np.zeros(3), transverse=True)
+    sampler = UniformFieldSampler(E0 * X, np.zeros(3))
     p = particle(qe=1.0, v=0.01 * Y, mass=2.0)
     traj = push_particle(p, sampler, "classical", 0.05, 100, NAT)
     t = traj.t
@@ -156,7 +156,7 @@ def test_uniform_electric_field_gives_the_exact_parabola():
 @pytest.mark.parametrize("model", ["classical", "quantum"])
 def test_gyration_radius_and_period(model):
     B0, v0 = 0.02, 0.01
-    sampler = UniformFieldSampler(np.zeros(3), B0 * Z, transverse=True)
+    sampler = UniformFieldSampler(np.zeros(3), B0 * Z)
     p = particle(qe=1.0, v=v0 * X)
     period = 2.0 * math.pi / B0
     steps = 2000
@@ -173,7 +173,7 @@ def test_gyration_radius_and_period(model):
 
 def test_impulse_matches_integrated_force():
     B0 = 0.02
-    sampler = UniformFieldSampler(np.zeros(3), B0 * Z, transverse=True)
+    sampler = UniformFieldSampler(np.zeros(3), B0 * Z)
     p = particle(qe=1.0, v=0.01 * X)
     period = 2.0 * math.pi / B0
     traj = push_particle(p, sampler, "classical", period / 2000, 1000, NAT)
@@ -420,7 +420,7 @@ def test_plane_normal_direction_and_degeneracy():
 
 def test_planar_orbit_has_no_out_of_plane_drift():
     B0 = 0.02
-    sampler = UniformFieldSampler(np.zeros(3), B0 * Z, transverse=True)
+    sampler = UniformFieldSampler(np.zeros(3), B0 * Z)
     p = particle(qe=1.0, v=0.01 * X)
     period = 2.0 * math.pi / B0
     traj = push_particle(p, sampler, "classical", period / 500, 500, NAT)
