@@ -33,7 +33,10 @@ near the origin (including the k = 0 cell, whose weight is finite) the cell
 integrals are computed by Gauss quadrature, far cells use the curvature-
 corrected midpoint rule.  The near cells of the octant are one batched
 tensor Gauss-Legendre sum per point count (16 points per axis next to the
-origin, 8 further out); the k = 0 cell has its own radial face rule.
+origin, 8 further out); the k = 0 cell has its own radial face rule.  The
+pair kernel is kept for the last pair geometry (the exact pair vectors and
+smearing sums, dk, kmax and eps0), so a one-field and a two-field sum over
+the same sources and lattice build it once.
 Plain midpoint weights ``dk^3 / k_n^2`` would instead converge to the
 *periodic* (image-summed) interaction, which at the documented cutoffs is
 biased by roughly 2.8 * r * dk / (2 pi) (about 13%), far outside the
@@ -191,8 +194,12 @@ def _source_pairs(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     """
     positions = np.asarray(positions, dtype=float)
     i, j = np.triu_indices(positions.shape[0], 1)
+    diffs = positions[i] - positions[j]
     # one 1-D norm per pair: the axis=1 reduction rounds differently
-    r = np.asarray([float(np.linalg.norm(d)) for d in positions[i] - positions[j]], dtype=float)
+    r = np.asarray([float(np.linalg.norm(d)) for d in diffs], dtype=float)
+    # below the square root of the smallest normal float the norm's square underflows
+    tiny = r < 1.5e-154
+    r[tiny] = [math.hypot(*d) for d in diffs[tiny]]
     coincident = np.flatnonzero(r == 0.0)
     if coincident.size:
         p = coincident[0]
@@ -296,6 +303,16 @@ def _pair_kernel(rvecs: np.ndarray, s2: np.ndarray, dk: float, kmax: float,
     return totals / ((2.0 * math.pi) ** 3 * eps0)
 
 
+@lru_cache(maxsize=1)
+def _lattice_kernel(rvecs: bytes, s2: bytes, dk: float, kmax: float, eps0: float) -> np.ndarray:
+    """Read-only ``_pair_kernel`` of pair vectors and smearing sums given as
+    float64 bytes, kept for the last pair geometry, so the one- and two-field
+    sums over the same sources and lattice build it once."""
+    kernels = _pair_kernel(np.frombuffer(rvecs).reshape(-1, 3), np.frombuffer(s2), dk, kmax, eps0)
+    kernels.flags.writeable = False
+    return kernels
+
+
 def _sector_weights(theta) -> tuple[float, float]:
     """``(cos, sin)`` of the angle: the weights of A and C / c, and of qe and c eps0 qm."""
     t = _angle(theta)
@@ -315,8 +332,8 @@ def _pair_energies(sources: list[PointSource], S: np.ndarray, ms: ModeSet, units
     positions = np.stack([s.position for s in sources])
     i, j, _ = _source_pairs(positions)
     sigma2 = np.asarray([s.sigma**2 for s in sources])
-    kernels = _pair_kernel(positions[i] - positions[j], sigma2[i] + sigma2[j],
-                           ms.dk[0], ms.kmax, units.eps0)
+    kernels = _lattice_kernel((positions[i] - positions[j]).tobytes(),
+                              (sigma2[i] + sigma2[j]).tobytes(), ms.dk[0], ms.kmax, units.eps0)
     blocks = np.sum(S[:, :, None] * q[:, None, i] * q[None, :, j] * kernels, axis=-1)
     return float(blocks[0, 0]), float(blocks[1, 1]), float(blocks[0, 1] + blocks[1, 0])
 

@@ -419,6 +419,15 @@ def test_configs_that_measure_nothing_exit_one(tmp_path, capsys, key, override):
     assert output_files(tmp_path) == []
 
 
+def test_sources_closer_than_a_normal_square_are_apart_not_coincident(tmp_path, capsys):
+    # 1e-200 apart: the distance's square underflows, and the auto smearing
+    # of a fifth of it has no normal-float square
+    assert run_with(tmp_path, "coulomb", "source.2.position=1e-200 0 0") == 1
+    err = capsys.readouterr().err
+    assert "[source.1] sigma must be positive with a normal-float square, got 2e-201" in err
+    assert output_files(tmp_path) == []
+
+
 def test_a_source_crossing_x_zero_stays_in_the_box(tmp_path):
     # the wrap used to round the source's tiny negative x up to L, which the
     # next stepper call rejected as outside the box

@@ -331,6 +331,81 @@ def test_a_sourced_call_does_the_same_work_for_any_step_count(monkeypatch):
     assert counts[0]["current_spectra"] == 2  # one per moving source, none for the static one
 
 
+# --- coefficient-table cache ----------------------------------------------------------
+
+
+def test_a_covariance_residual_builds_its_tables_once():
+    state, dt, units = reference_case("two movers and a static source")
+    shared = [moving_source(s.position, s.velocity, 0.8 * q, 0.4 * q, sigma=s.sigma)
+              for s, q in zip(state.sources, (1.0, -0.6, 0.3))]
+    maxwell._propagator.cache_clear()
+    dual_covariance_residual(EMState(0.0, state.grid, state.fields, shared), 0.6, 5, dt, units)
+    info = maxwell._propagator.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def bitwise(state):
+    return state.fields.E.tobytes() + state.fields.B.tobytes()
+
+
+def with_velocity(state, index, velocity):
+    sources = list(state.sources)
+    s = sources[index]
+    sources[index] = moving_source(s.position, velocity, s.charges.qe, s.charges.qm, s.sigma)
+    return EMState(state.t, state.grid, state.fields, sources)
+
+
+@pytest.mark.parametrize("change", ["c", "dt", "steps", "velocity", "velocity 0.0 -> -0.0"])
+def test_changing_one_key_input_rebuilds_the_tables(change):
+    state, dt, units = reference_case("two movers and a static source")
+    steps = 3
+    maxwell._propagator.cache_clear()
+    step_symmetric_maxwell(state, dt, units, steps)
+    if change == "c":
+        units = UnitSystem(c=1.5)
+    elif change == "dt":
+        dt = math.nextafter(dt, 0.0)
+    elif change == "steps":
+        steps = 4
+    elif change == "velocity":
+        state = with_velocity(state, 1, (0.0, -0.05, math.nextafter(0.02, 1.0)))
+    else:
+        state = with_velocity(state, 0, (0.05, -0.0, 0.0))
+    step_symmetric_maxwell(state, dt, units, steps)
+    info = maxwell._propagator.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 0, 1)
+
+
+@pytest.mark.parametrize("name", ["free", "two movers and a static source"])
+def test_a_warm_table_evolution_equals_a_cold_one_bitwise(name):
+    state, dt, units = reference_case(name)
+    maxwell._propagator.cache_clear()
+    cold = step_symmetric_maxwell(state, dt, units, 7)
+    warm = step_symmetric_maxwell(state, dt, units, 7)
+    assert maxwell._propagator.cache_info().hits == 1
+    assert bitwise(warm) == bitwise(cold)
+
+
+def test_an_evolution_after_another_light_speed_equals_a_cold_one():
+    state, dt, _ = reference_case("two movers and a static source")
+    fast = UnitSystem(c=3.0)
+    dt /= 3.0
+    maxwell._propagator.cache_clear()
+    step_symmetric_maxwell(state, dt, NAT, 7)
+    after = step_symmetric_maxwell(state, dt, fast, 7)
+    maxwell._propagator.cache_clear()
+    assert bitwise(after) == bitwise(step_symmetric_maxwell(state, dt, fast, 7))
+
+
+def test_cached_tables_are_read_only():
+    state, dt, units = reference_case("two movers and a static source")
+    movers = tuple(s.velocity.tobytes() for s in state.sources[:2])
+    alpha, beta, forcings = maxwell._propagator(state.grid, dt, 5, units.c, movers)
+    tables = [alpha, beta, *(t for triple in forcings for t in triple)]
+    assert len(tables) == 8
+    assert not any(t.flags.writeable for t in tables)
+
+
 # --- conservation -----------------------------------------------------------------
 
 

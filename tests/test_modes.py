@@ -109,6 +109,11 @@ def test_source_pairs_name_the_first_coincident_pair():
     assert list(r) == [float(np.linalg.norm(positions[p] - positions[q])) for p, q in zip(i, j)]
 
 
+def test_source_pairs_measure_a_distance_whose_square_underflows():
+    _, _, r = modes._source_pairs(np.array([[0.0, 0.0, 0.0], [1e-200, 0.0, 0.0]]))
+    assert list(r) == [1e-200]
+
+
 def test_coulomb_mode_set_scales_with_the_geometry():
     sources = source_pair(r=2.0, sigma=0.25)
     ms = coulomb_mode_set(sources)
@@ -211,6 +216,7 @@ def test_two_field_cross_term_is_structurally_zero():
     ids=["symmetric_charge_energy", "two_field_energy"],
 )
 def test_each_mode_sum_builds_the_lattice_kernel_once(monkeypatch, energy):
+    modes._lattice_kernel.cache_clear()
     calls = []
     kernel = modes._pair_kernel
 
@@ -222,6 +228,50 @@ def test_each_mode_sum_builds_the_lattice_kernel_once(monkeypatch, energy):
     sources = source_pair(r=1.2, qe=(1.0, -0.5), qm=(0.3, 0.9), sigma=0.2)
     energy(sources, ModeSet.lattice(dk=1.0, kmax=4.0))
     assert len(calls) == 1
+
+
+def test_one_and_two_field_sums_share_one_lattice_kernel():
+    sources = source_pair(r=1.2, qe=(1.0, -0.5), qm=(0.3, 0.9), sigma=0.2)
+    ms = ModeSet.lattice(dk=1.0, kmax=4.0)
+    modes._lattice_kernel.cache_clear()
+    symmetric_charge_energy(sources, 0.4, ms, NAT)
+    cold = two_field_energy(sources, ms, NAT)
+    info = modes._lattice_kernel.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    warm = two_field_energy(sources, ms, NAT)
+    modes._lattice_kernel.cache_clear()
+    assert warm == cold == two_field_energy(sources, ms, NAT)
+
+
+def shifted_pair(change):
+    """The pair of the kernel-cache tests, its lattice and units, with one input changed."""
+    r, sigma = 1.2, 0.2
+    ms, units = ModeSet.lattice(dk=1.0, kmax=4.0), NAT
+    if change == "position":
+        r = math.nextafter(r, 2.0)
+    elif change == "sigma":
+        sigma = 0.25
+    elif change == "eps0":
+        units = UnitSystem(eps0=2.0)
+    elif change == "dk":
+        ms = ModeSet.lattice(dk=0.9, kmax=4.0)
+    elif change == "kmax":
+        ms = ModeSet.lattice(dk=1.0, kmax=5.0)
+    return source_pair(r=r, qe=(1.0, -0.5), qm=(0.3, 0.9), sigma=sigma), ms, units
+
+
+@pytest.mark.parametrize("change", ["position", "sigma", "eps0", "dk", "kmax"])
+def test_changing_one_kernel_input_rebuilds_the_kernel(change):
+    modes._lattice_kernel.cache_clear()
+    two_field_energy(*shifted_pair(None))
+    two_field_energy(*shifted_pair(change))
+    info = modes._lattice_kernel.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 0, 1)
+
+
+def test_the_cached_kernel_is_read_only():
+    rvecs, s2 = np.array([1.2, 0.0, 0.0]).tobytes(), np.array([0.08]).tobytes()
+    assert not modes._lattice_kernel(rvecs, s2, 1.0, 4.0, 1.0).flags.writeable
 
 
 def cell_weight_gauss(n, points):
