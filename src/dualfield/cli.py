@@ -84,8 +84,9 @@ DEFAULT_THETAS = (math.pi / 6, math.pi / 4, math.pi / 2, 3 * math.pi / 2)
 # largest Coulomb lattice nmax = kmax / dk; the acceptance gate needs 363, the defaults 100
 MAX_LATTICE_NMAX = 1000
 MAX_GRID_N = 64  # largest cells per grid axis; tier-1, defaults and benchmark use at most 32
-# largest monopole-flyby step count; the default, the tests and the acceptance gate use 1600
-MAX_FLYBY_STEPS = 100_000
+# largest [evolution] steps of dual-covariance and monopole-flyby; their defaults, the tests
+# and the acceptance gate use at most 1600
+MAX_STEPS = 100_000
 WAVE_INDEX_MAX = 3  # largest wavenumber index per axis of random_wave_fields
 
 
@@ -482,7 +483,7 @@ def run_dual_covariance(cfg: ScenarioConfig, outdir: Path) -> Checks:
         raise ConfigError("[units] eps0 and [source.N] qe or qm: the square of qe / eps0 or c qm "
                           f"overflows for a source, at eps0 {units.eps0!r} and c {units.c!r}")
     dt = cfg.get_float("evolution", "dt", 0.005, above=0)
-    steps = cfg.get_int("evolution", "steps", 100, at_least=1)
+    steps = cfg.get_int("evolution", "steps", 100, at_least=1, at_most=MAX_STEPS)
     require_shared = cfg.get_bool("checks", "require_shared_ratio", True)
     thetas = cfg.thetas()
     cfg.check_all_read()
@@ -659,7 +660,7 @@ def run_monopole_flyby(cfg: ScenarioConfig, outdir: Path) -> Checks:
     qm = cfg.get_float("particle", "qm", 0.0)
     mass = cfg.get_float("particle", "mass", 1.0, above=0)
     dt = cfg.get_float("evolution", "dt", 0.05, above=0)
-    steps = cfg.get_int("evolution", "steps", 1600, at_least=1, at_most=MAX_FLYBY_STEPS)
+    steps = cfg.get_int("evolution", "steps", 1600, at_least=1, at_most=MAX_STEPS)
     cfg.check_all_read()
     # the squared norms the run forms, and their product, which bounds |r x v|^2
     offset = [a - b for a, b in zip(position.tolist(), monopole_pos.tolist())]

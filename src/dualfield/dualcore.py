@@ -57,7 +57,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteInputError, ZeroChargeNormError
 
 TWO_PI = 2.0 * math.pi
 # Stands in for the exponent of a zero charge component in ``_unit_scaled``;
@@ -68,7 +67,7 @@ _NO_EXPONENT = -4096
 def _require_finite(name: str, value: np.ndarray | float) -> None:
     finite = math.isfinite(value) if isinstance(value, float) else np.all(np.isfinite(value))
     if not finite:
-        raise NonFiniteInputError(f"non-finite values in component {name!r}")
+        raise ValueError(f"non-finite values in component {name!r}")
 
 
 @dataclass(frozen=True)
@@ -228,7 +227,7 @@ def rotate_charges(charges: ChargePair, theta: float, units: UnitSystem) -> Char
     """Rotate a charge pair (see ``rotate_charge_components`` for the map).
 
     Exact to the last place down to subnormal pairs (see the module
-    docstring).  A component that overflows raises ``NonFiniteInputError``.
+    docstring).  A component that overflows raises ``ValueError``.
     """
     qe, qm, e = _unit_scaled(charges, units)
     qe, qm = rotate_charge_components(qe, qm, theta, units)
@@ -259,10 +258,10 @@ def asymmetrizing_angle(charges: ChargePair, units: UnitSystem) -> float:
     is not rounded to the subnormal grid first, and ``rotate_charges`` at
     this angle gives ``(charge_norm, 0)`` to the last place for every finite
     nonzero pair, subnormals included.  Undefined for a zero pair; that case
-    raises ``ZeroChargeNormError``.
+    raises ``ValueError``.
     """
     if charges.qe == 0.0 and charges.qm == 0.0:
-        raise ZeroChargeNormError("asymmetrizing angle is undefined for a zero charge pair")
+        raise ValueError("asymmetrizing angle is undefined for a zero charge pair")
     qe, qm, _ = _unit_scaled(charges, units)
     return math.atan2(units.c * units.eps0 * qm, qe)
 

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dualcore import ChargePair, FieldVecPair, UnitSystem
-from .errors import DegeneratePlaneError
 from .fields import point_magnetic_field
 
 SPEED_GUARD_FRACTION = 0.1
@@ -241,10 +240,10 @@ def push_particle(
     termination = None
 
     p = (m * v[0], m * v[1], m * v[2])
+    k1x = _over(p, m)  # m v / m can round away from the recorded v
+    k1p = force(x, k1x, 0.0)
     t = 0.0
     for _ in range(steps):
-        k1x = _over(p, m)
-        k1p = force(x, k1x, t)
         k2x = _over(_axpy(p, half, k1p), m)
         k2p = force(_axpy(x, half, k1x), k2x, t + half)
         k3x = _over(_axpy(p, half, k2p), m)
@@ -265,10 +264,11 @@ def push_particle(
         if speed2 > guard2:
             termination = "exceeded nonrelativistic speed guard"
             break
+        k1x, k1p = v, force(x, v, t)  # the next step's first stage
         times.append(t)
         xs.append(x)
         vs.append(v)
-        forces.append(force(x, v, t))
+        forces.append(k1p)
 
     return Trajectory(
         t=np.array(times),
@@ -287,7 +287,7 @@ def plane_normal(r: np.ndarray, v: np.ndarray) -> np.ndarray:
     scale = float(np.linalg.norm(r) * np.linalg.norm(v))
     norm = float(np.linalg.norm(n))
     if scale == 0.0 or norm <= 1e-12 * scale:
-        raise DegeneratePlaneError("r and v do not span a plane")
+        raise ValueError("r and v do not span a plane")
     return n / norm
 
 
@@ -295,7 +295,7 @@ def _unit_normal(normal: np.ndarray) -> np.ndarray:
     n = np.asarray(normal, dtype=float).reshape(3)
     length = float(np.linalg.norm(n))
     if length == 0.0:
-        raise DegeneratePlaneError("plane normal must be nonzero")
+        raise ValueError("plane normal must be nonzero")
     return n / length
 
 

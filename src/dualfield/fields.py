@@ -36,13 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dualcore import ChargePair, UnitSystem
-from .errors import (
-    GridMismatchError,
-    SharedRatioError,
-    SingularFieldPointError,
-    SmearingError,
-    SourcePlacementError,
-)
+from .errors import PreconditionError
 
 _MAGIC = b"DFLD0001"
 
@@ -164,7 +158,7 @@ class ScalarField:
     def __post_init__(self) -> None:
         self.data = np.asarray(self.data, dtype=float)
         if self.data.shape != self.grid.shape:
-            raise GridMismatchError(
+            raise ValueError(
                 f"scalar data shape {self.data.shape} does not match grid {self.grid.shape}"
             )
 
@@ -183,7 +177,7 @@ class VectorField:
     def __post_init__(self) -> None:
         self.data = np.asarray(self.data, dtype=float)
         if self.data.shape != (3,) + self.grid.shape:
-            raise GridMismatchError(
+            raise ValueError(
                 f"vector data shape {self.data.shape} does not match grid {self.grid.shape}"
             )
 
@@ -225,16 +219,16 @@ class PointSource:
 def _validate_source_geometry(source: PointSource, grid: Grid3) -> None:
     for axis in range(3):
         if not (0.0 <= source.position[axis] < grid.L[axis]):
-            raise SourcePlacementError(
+            raise PreconditionError(
                 f"source position {source.position} lies outside the box {grid.L} on axis {axis}"
             )
     h_max = max(grid.spacing)
     if source.sigma < 2.0 * h_max:
-        raise SmearingError(
+        raise PreconditionError(
             f"sigma={source.sigma} under-resolves the grid (needs >= {2.0 * h_max})"
         )
     if source.sigma > min(grid.L) / 8.0:
-        raise SmearingError(
+        raise PreconditionError(
             f"sigma={source.sigma} is too wide for the box (needs <= {min(grid.L) / 8.0})"
         )
 
@@ -273,7 +267,7 @@ def source_spectra(
 
 
 def check_shared_ratio(sources: list["PointSource"]) -> None:
-    """Raise ``SharedRatioError`` unless all charge pairs are parallel, to 1e-12.
+    """Raise ``PreconditionError`` unless all charge pairs are parallel, to 1e-12.
 
     Zero charge pairs are compatible with any ratio.
     """
@@ -285,7 +279,7 @@ def check_shared_ratio(sources: list["PointSource"]) -> None:
     bad = np.flatnonzero((scale > 0.0) & (np.abs(cross) > 1e-12 * scale))
     if bad.size:
         p = bad[0]
-        raise SharedRatioError(f"sources {i[p]} and {j[p]} have different qm/qe ratios")
+        raise PreconditionError(f"sources {i[p]} and {j[p]} have different qm/qe ratios")
 
 
 def current_spectra(
@@ -381,7 +375,7 @@ def point_magnetic_field(qm: float, offset, units: UnitSystem) -> tuple[float, f
     x, y, z = offset
     dist = math.sqrt(x * x + y * y + z * z)
     if dist == 0.0:
-        raise SingularFieldPointError("magnetic point field evaluated at the charge position")
+        raise ValueError("magnetic point field evaluated at the charge position")
     try:
         cube = dist**3
     except OverflowError:  # as a numpy float would: inf, so the field is zero

@@ -33,6 +33,8 @@ z^(N-1) expm1(N log r) / expm1(log r) with r = mu / z, mu the eigenvalue of
 M, and N where log r = 0.  A call therefore costs one forward and one
 inverse transform of each field plus a fixed number of elementwise passes
 per moving source, however many steps it takes; static sources add nothing.
+The one O(steps) part is the clock: ``t`` adds ``dt`` once per step, so n
+one-step calls give bitwise the same ``t`` as one n-step call.
 The coefficient tables are built once per (grid, dt, steps, c, mover
 velocities) and kept for the last such key, so a repeat call, such as the
 second evolution of ``dual_covariance_residual``, only transforms the fields
@@ -54,7 +56,7 @@ from .dualcore import (
     inverse_rotate_fields,
     rotate_charges,
 )
-from .errors import CFLViolationError, GridMismatchError, SuperluminalSourceError
+from .errors import PreconditionError
 from .fields import (
     Grid3,
     PointSource,
@@ -86,9 +88,7 @@ class EMState:
         self.t = float(self.t)
         expected = (3,) + self.grid.shape
         if self.fields.E.shape != expected:
-            raise GridMismatchError(
-                f"field shape {self.fields.E.shape} does not match grid {expected}"
-            )
+            raise ValueError(f"field shape {self.fields.E.shape} does not match grid {expected}")
         self.sources = list(self.sources)
 
 
@@ -100,7 +100,7 @@ def _check_sources(sources: list[PointSource], units: UnitSystem) -> None:
     for s in sources:
         speed = math.hypot(*s.velocity)
         if speed >= units.c:
-            raise SuperluminalSourceError(f"source velocity {speed} is not below c={units.c}")
+            raise PreconditionError(f"source velocity {speed} is not below c={units.c}")
 
 
 def _cis(phase: np.ndarray) -> np.ndarray:
@@ -175,15 +175,15 @@ def step_symmetric_maxwell(state: EMState, dt: float, units: UnitSystem, steps: 
     """Advance the state by ``steps`` classical RK4 steps of size ``dt``.
 
     The steps are taken at once, in the closed form of the module docstring,
-    so the cost does not grow with ``steps``.  Raises ``CFLViolationError``
-    if ``dt`` exceeds half a light-crossing of the smallest cell, the
-    stability margin of spectral RK4.
+    so the cost does not grow with ``steps`` beyond the clock's float sum.
+    Raises ``PreconditionError`` if ``dt`` exceeds half a light-crossing of
+    the smallest cell, the stability margin of spectral RK4.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
     limit = cfl_limit(state.grid, units)
     if dt > limit:
-        raise CFLViolationError(f"dt={dt} exceeds the stability limit {limit}")
+        raise PreconditionError(f"dt={dt} exceeds the stability limit {limit}")
     _check_sources(state.sources, units)
     for source in state.sources:
         _validate_source_geometry(source, state.grid)

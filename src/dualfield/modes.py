@@ -67,7 +67,7 @@ from .dualcore import (
     asymmetrizing_angle,
     rotate_charge_components,
 )
-from .errors import AliasingError, CoincidentSourcesError, GridMismatchError
+from .errors import PreconditionError
 from .fields import (
     Grid3,
     PointSource,
@@ -190,7 +190,7 @@ class ModeSet:
 def _source_pairs(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index pairs ``i < j`` in row-major order and the distance of each pair.
 
-    Raises ``CoincidentSourcesError`` naming the first pair at zero distance.
+    Raises ``PreconditionError`` naming the first pair at zero distance.
     """
     positions = np.asarray(positions, dtype=float)
     i, j = np.triu_indices(positions.shape[0], 1)
@@ -203,7 +203,7 @@ def _source_pairs(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     coincident = np.flatnonzero(r == 0.0)
     if coincident.size:
         p = coincident[0]
-        raise CoincidentSourcesError(f"sources {i[p]} and {j[p]} coincide")
+        raise PreconditionError(f"sources {i[p]} and {j[p]} coincide")
     return i, j, r
 
 
@@ -443,9 +443,10 @@ def _grid_bins(ms: ModeSet, grid: Grid3) -> np.ndarray:
         n_float = ms.kvecs[:, axis] / base
         n_int = np.rint(n_float).astype(int)
         if np.any(np.abs(n_float - n_int) > 1e-9):
-            raise AliasingError(f"mode wavevectors do not sit on grid bins along axis {axis}")
+            raise PreconditionError(f"mode wavevectors do not sit on grid bins along axis {axis}")
         if np.any(np.abs(n_int) > grid.n[axis] // 2 - 1):
-            raise AliasingError(f"mode wavevectors exceed the grid Nyquist range on axis {axis}")
+            raise PreconditionError(
+                f"mode wavevectors exceed the grid Nyquist range on axis {axis}")
         bins[:, axis] = n_int % grid.n[axis]
     return bins
 
@@ -467,9 +468,7 @@ def synthesize_potentials(
     if ms.is_lattice:
         raise ValueError("synthesis needs an explicit ModeSet")
     if not math.isclose(ms.box_volume, grid.volume, rel_tol=1e-9):
-        raise GridMismatchError(
-            f"mode lattice represents volume {ms.box_volume}, grid has {grid.volume}"
-        )
+        raise ValueError(f"mode lattice represents volume {ms.box_volume}, grid has {grid.volume}")
     wa, wc = _sector_weights(theta)
     bins = _grid_bins(ms, grid)
     omega = ms.omega(units)
@@ -569,7 +568,7 @@ def spin_observable(
     expected = (4,) + grid.shape
     for name, arr in (("potentials", potentials.A), ("dpotentials_dt", dpotentials_dt.A)):
         if arr.shape != expected:
-            raise GridMismatchError(f"{name} shape {arr.shape} does not match grid {expected}")
+            raise ValueError(f"{name} shape {arr.shape} does not match grid {expected}")
     k = _kgrid(grid)
     A, C, dA, dC = _to_spectrum(
         np.stack([potentials.A[1:], potentials.C[1:], dpotentials_dt.A[1:], dpotentials_dt.C[1:]])

@@ -353,6 +353,7 @@ def test_two_field_cross_judges_small_energies_by_their_ratio(tmp_path):
         ("flyby", "monopole.position=-1e300 0 0", 1),
         ("flyby", "particle.velocity=1e300 0 0", 1),
         ("flyby", "evolution.steps=100001", 1),
+        ("covariance", "evolution.steps=100001", 1),
         ("rotation", "--seed -1", 1),
         ("coulomb", "checks.max_rel=nan", 1),
         ("rotation", "checks.max_residual=-1", 1),

@@ -23,7 +23,6 @@ from dualfield.dualcore import (
     rotate_fields,
     rotate_potentials,
 )
-from dualfield.errors import NonFiniteInputError, ZeroChargeNormError
 
 NAT = UnitSystem.natural()
 XHAT = np.array([1.0, 0.0, 0.0])
@@ -89,7 +88,7 @@ def test_asymmetrizing_angle_of_equal_pair_is_quarter_pi():
 
 
 def test_asymmetrizing_angle_rejects_zero_pair():
-    with pytest.raises(ZeroChargeNormError):
+    with pytest.raises(ValueError, match="zero charge pair"):
         asymmetrizing_angle(ChargePair(0.0, 0.0), NAT)
 
 
@@ -115,7 +114,7 @@ def test_charge_rotation_by_zero_keeps_far_smaller_component(pair, units):
 
 def test_charge_rotation_overflow_raises_non_finite_input():
     # qm' = -qe / (c eps0) exceeds the float range in SI units
-    with pytest.raises(NonFiniteInputError):
+    with pytest.raises(ValueError, match="non-finite values"):
         rotate_charges(ChargePair(1e308, 0.0), math.pi / 2, UnitSystem.si())
 
 
@@ -188,7 +187,7 @@ def test_unit_system_rejects_bad_light_speed(bad):
 
 
 def test_rotate_fields_rejects_non_finite():
-    with pytest.raises(NonFiniteInputError):
+    with pytest.raises(ValueError, match="non-finite values"):
         rotate_fields(FieldVecPair(np.array([np.nan, 0, 0]), ZERO3), 0.3, NAT)
 
 

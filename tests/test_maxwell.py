@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from dualfield.dualcore import ChargePair, FieldVecPair, UnitSystem
-from dualfield.errors import (
-    CFLViolationError,
-    SharedRatioError,
-    SuperluminalSourceError,
-)
+from dualfield.errors import PreconditionError
 from dualfield import maxwell
 from dualfield.fields import (
     Grid3,
@@ -507,7 +503,7 @@ def test_covariance_with_mixed_ratio_sources_needs_the_flag():
         moving_source((4.0, 2.5, 3.5), (0.0, 0.04, 0.0), 1.0, -0.8, sigma=math.pi / 4),
     ]
     state = consistent_state(grid, NAT, sources, seed=8)
-    with pytest.raises(SharedRatioError):
+    with pytest.raises(PreconditionError, match="different qm/qe ratios"):
         dual_covariance_residual(state, math.pi / 4, 10, 0.01, NAT)
     residual = dual_covariance_residual(
         state, math.pi / 4, 10, 0.01, NAT, require_shared_ratio=False
@@ -522,7 +518,7 @@ def test_cfl_limit_value_and_violation():
     grid = cube(16)
     assert cfl_limit(grid, NAT) == pytest.approx(0.5 * grid.spacing[0])
     state = consistent_state(grid, NAT, [], seed=9)
-    with pytest.raises(CFLViolationError):
+    with pytest.raises(PreconditionError, match="exceeds the stability limit"):
         step_symmetric_maxwell(state, 10.0 * cfl_limit(grid, NAT), NAT)
 
 
@@ -552,7 +548,7 @@ def test_superluminal_source_is_rejected():
     zeros = np.zeros((3,) + grid.shape)
     source = moving_source((3.0, 3.0, 3.0), (1.5, 0.0, 0.0), 1.0, 0.0, sigma=math.pi / 4)
     state = EMState(0.0, grid, FieldVecPair(zeros, zeros), [source])
-    with pytest.raises(SuperluminalSourceError):
+    with pytest.raises(PreconditionError, match="is not below c="):
         step_symmetric_maxwell(state, 0.01, NAT)
 
 

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from dualfield.dualcore import ChargePair, PotentialPair, UnitSystem
-from dualfield.errors import (
-    AliasingError,
-    CoincidentSourcesError,
-    GridMismatchError,
-    SharedRatioError,
-)
+from dualfield.errors import PreconditionError
 from dualfield.fields import (
     Grid3,
     PointSource,
@@ -95,13 +90,13 @@ def test_tetrads_are_orthonormal_and_right_handed():
 def test_recommended_smearing_is_a_fifth_of_the_closest_pair():
     positions = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
     assert recommended_smearing(positions) == pytest.approx(0.2)
-    with pytest.raises(CoincidentSourcesError):
+    with pytest.raises(PreconditionError, match="sources 0 and 1 coincide"):
         recommended_smearing(np.zeros((2, 3)))
 
 
 def test_source_pairs_name_the_first_coincident_pair():
     a, b = [0.0, 0.0, 0.0], [1.0, 2.0, 0.5]
-    with pytest.raises(CoincidentSourcesError, match="sources 0 and 3 coincide"):
+    with pytest.raises(PreconditionError, match="sources 0 and 3 coincide"):
         modes._source_pairs(np.array([a, b, b, a]))  # (0, 3) precedes (1, 2)
     positions = np.array([a, b, [0.3, -1.0, 2.0], [4.0, 0.0, 0.0]])
     i, j, r = modes._source_pairs(positions)
@@ -155,11 +150,11 @@ def test_mixed_pair_uses_the_invariant_charge():
 def test_real_energy_rejects_bad_inputs():
     with pytest.raises(ValueError):
         coulomb_energy_real(source_pair()[:1], NAT)
-    with pytest.raises(SharedRatioError):
+    with pytest.raises(PreconditionError, match="different qm/qe ratios"):
         coulomb_energy_real(source_pair(qe=(1.0, 1.0), qm=(0.5, 0.0)), NAT)
     on_top = source_pair(r=1.0)
     on_top[1] = PointSource(np.zeros(3), np.zeros(3), on_top[1].charges, on_top[1].sigma)
-    with pytest.raises(CoincidentSourcesError):
+    with pytest.raises(PreconditionError, match="sources 0 and 1 coincide"):
         coulomb_energy_real(on_top, NAT)
     zeros = source_pair(qe=(0.0, 0.0))
     assert coulomb_energy_real(zeros, NAT) == 0.0
@@ -414,17 +409,17 @@ def test_synthesis_of_zero_amplitudes_is_zero():
 def test_synthesis_rejects_off_bin_and_aliased_modes():
     grid = cube(8)
     off_bin = zero_amp(ModeSet.from_kvecs(np.array([[0.5, 0.0, 0.0]]), dk=1.0))
-    with pytest.raises(AliasingError):
+    with pytest.raises(PreconditionError, match="do not sit on grid bins"):
         synthesize_potentials(off_bin, 0.0, grid, NAT)
     aliased = zero_amp(ModeSet.from_kvecs(np.array([[4.0, 0.0, 0.0]]), dk=1.0))
-    with pytest.raises(AliasingError):
+    with pytest.raises(PreconditionError, match="exceed the grid Nyquist range"):
         synthesize_potentials(aliased, 0.0, grid, NAT)
 
 
 def test_synthesis_requires_matching_box_volume():
     grid = cube(8, L=math.pi)
     amp = zero_amp(ModeSet.from_kvecs(np.array([[1.0, 0.0, 0.0]]), dk=1.0))
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(ValueError, match="mode lattice represents volume"):
         synthesize_potentials(amp, 0.0, grid, NAT)
 
 
@@ -576,6 +571,6 @@ def test_spin_matches_the_real_space_integral(grid, units):
 
 def test_spin_rejects_mismatched_grids():
     zero16 = PotentialPair(np.zeros((4, 16, 16, 16)), np.zeros((4, 16, 16, 16)))
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(ValueError, match="does not match grid"):
         spin_observable(zero16, zero16, cube(8), NAT)
 
