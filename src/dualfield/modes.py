@@ -47,9 +47,14 @@ all even in each lattice coordinate on its own, so in the pair sum of
 ``w cos(k.r) exp(-k^2 s^2 / 2)`` every sine term cancels and the product
 ``cos(kx rx) cos(ky ry) cos(kz rz)`` remains.  The sum therefore folds onto
 the octant ``n_a >= 0`` with multiplicity 2 per nonzero coordinate and
-separates by axis: one small matrix product per x-slice instead of a cosine
-at every lattice point.  A weight rule that broke this evenness would need
-the full signed lattice again.
+separates by axis, with no cosine at any lattice point.  A far weight
+depends only on the integer ``|n|^2``, so each pair's y-z factors are
+binned once by shell ``n_y^2 + n_z^2`` (4,708 shells inside the cutoff at
+nmax 133), each x-slice is one dot of those bins with the far weights, and
+one contraction over the near block swaps in its exact weights: O(nmax^2 P)
+for the bins and O(nmax S P) for the slices, with S the shell count.  A
+weight rule that broke this evenness would need the full signed lattice
+again.
 """
 
 from __future__ import annotations
@@ -273,33 +278,44 @@ def _pair_kernel(rvecs: np.ndarray, s2: np.ndarray, dk: float, kmax: float,
     """Open-space Coulomb kernel sum_cells w cos(k.r) exp(-k^2 s2 / 2) per pair,
     normalized so a pair contributes Q_i Q_j * kernel to the energy.
 
-    Summed over the octant (see the module docstring) as
-    sum_ix Fx[p, ix] * sum_{iy, iz} Fy[p, iy] W_ix[iy, iz] Fz[p, iz] with
+    Summed over the octant (see the module docstring) with
     Fa[p, i] = mult_i cos(dk i r_a) exp(-(dk i)^2 s2 / 2), mult_i = 2 for
-    i > 0 and 1 for i = 0, and W_ix the weights of the slice n_x = ix.
+    i > 0 and 1 for i = 0.  A far weight depends only on |n|^2, so
+    H[p, s] = sum of Fy[p, iy] Fz[p, iz] over the shell iy^2 + iz^2 = m_s
+    (one bincount per pair), and the slice n_x = ix adds
+    Fx[p, ix] * sum_s H[p, s] far[ix^2 + m_s] over the shells inside the
+    cutoff.  One contraction over the near block then swaps its far weights
+    for the exact ones.  Cost O(nmax^2 P) for the bins and O(nmax S P) for
+    the slices, with S the shell count (4,708 at nmax 133).
     """
     nmax = int(math.floor(kmax / dk))
     n = np.arange(nmax + 1)
     n2 = n * n
-    # far weights by integer |n|^2; the origin's entry is replaced from the near table
+    # far weights by integer |n|^2 up to top, the last inside the cutoff, then a
+    # 0 for any |n|^2 past it; the origin's entry is replaced from the near table
     k2 = (dk * dk) * np.arange(3 * nmax * nmax + 1)
-    inside = k2 <= kmax * kmax
+    top = int(np.count_nonzero(k2 <= kmax * kmax)) - 1
+    k2 = k2[:top + 1]
     k2[0] = 1.0
-    far = np.where(inside, (dk**3 / k2) * (1.0 + dk * dk / (12.0 * k2)), 0.0)
+    far = np.append((dk**3 / k2) * (1.0 + dk * dk / (12.0 * k2)), 0.0)
     edge = min(nmax, _NEAR) + 1
-    near_n2 = n2[:edge, None, None] + n2[:edge, None] + n2[:edge]
-    near = np.where(inside[near_n2], dk * _near_weight_table()[:edge, :edge, :edge], 0.0)
-    n_perp2 = n2[:, None] + n2
+    near_n2 = np.minimum(n2[:edge, None, None] + n2[:edge, None] + n2[:edge], top + 1)
+    near = np.where(near_n2 <= top, dk * _near_weight_table()[:edge, :edge, :edge], 0.0)
 
     kn = dk * n
     F = (np.where(n > 0, 2.0, 1.0) * np.cos(rvecs.T[:, :, None] * kn)
          * np.exp(-0.5 * np.multiply.outer(s2, kn * kn)))
+    n_perp2 = (n2[:, None] + n2).ravel()
+    kept = n_perp2 <= top
+    bins = n_perp2[kept]
+    m = np.flatnonzero(np.bincount(bins))  # the shells ny^2 + nz^2 <= top, ascending
+    H = np.stack([np.bincount(bins, weights=np.outer(fy, fz).ravel()[kept])[m]
+                  for fy, fz in zip(F[1], F[2])])
     totals = np.zeros(rvecs.shape[0])
-    for ix in n:
-        w = far[ix * ix + n_perp2]
-        if ix < edge:
-            w[:edge, :edge] = near[ix]
-        totals += F[0][:, ix] * ((F[1] @ w) * F[2]).sum(axis=1)
+    for ix, end in enumerate(np.searchsorted(m, top - n2, side="right")):
+        totals += F[0][:, ix] * (H[:, :end] @ far[ix * ix + m[:end]])
+    # the near block's exact weights in place of the far ones summed above
+    totals += np.einsum("pi,pj,pk,ijk->p", *(Fa[:, :edge] for Fa in F), near - far[near_n2])
     return totals / ((2.0 * math.pi) ** 3 * eps0)
 
 

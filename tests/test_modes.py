@@ -19,6 +19,7 @@ from dualfield.fields import (
     spectral_gradient,
 )
 from dualfield import modes
+from dualfield.cli import MAX_LATTICE_NMAX
 from dualfield.modes import (
     ModeAmplitudeSet,
     ModeSet,
@@ -300,14 +301,43 @@ def full_lattice_kernel(rvecs, s2, dk, kmax, eps0):
     return terms.sum(axis=1) / (TWO_PI**3 * eps0)
 
 
-@pytest.mark.parametrize("kmax", [6.0, 2.2])
+KERNEL_PAIRS = np.array([[0.3, -0.7, 1.1], [-1.2, 0.4, 0.25], [0.05, 0.9, -0.6]])
+KERNEL_S2 = np.array([0.02, 0.05, 0.11])
+
+
+@pytest.mark.parametrize("kmax", [6.0, 2.2, 5.3])
 def test_pair_kernel_matches_the_full_signed_lattice(kmax):
-    # nmax 12 reaches past the exact-weight block, nmax 4 cuts through it
-    rvecs = np.array([[0.3, -0.7, 1.1], [-1.2, 0.4, 0.25], [0.05, 0.9, -0.6]])
-    s2 = np.array([0.02, 0.05, 0.11])
-    kernel = modes._pair_kernel(rvecs, s2, 0.5, kmax, 2.0)
-    reference = full_lattice_kernel(rvecs, s2, 0.5, kmax, 2.0)
+    # nmax 12 reaches past the exact-weight block, nmax 4 cuts through it;
+    # nmax 10 with (kmax / dk)^2 = 112.36 ends on a partial shell
+    kernel = modes._pair_kernel(KERNEL_PAIRS, KERNEL_S2, 0.5, kmax, 2.0)
+    reference = full_lattice_kernel(KERNEL_PAIRS, KERNEL_S2, 0.5, kmax, 2.0)
     np.testing.assert_allclose(kernel, reference, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_pair_kernel_is_even_in_each_component(axis):
+    flipped = KERNEL_PAIRS.copy()
+    flipped[:, axis] *= -1.0
+    kernel = modes._pair_kernel(KERNEL_PAIRS, KERNEL_S2, 0.5, 6.0, 2.0)
+    assert np.array_equal(modes._pair_kernel(flipped, KERNEL_S2, 0.5, 6.0, 2.0), kernel)
+
+
+@pytest.mark.parametrize("order", [(1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0)])
+def test_pair_kernel_treats_no_axis_specially(order):
+    kernel = modes._pair_kernel(KERNEL_PAIRS, KERNEL_S2, 0.5, 6.0, 2.0)
+    permuted = modes._pair_kernel(KERNEL_PAIRS[:, order], KERNEL_S2, 0.5, 6.0, 2.0)
+    np.testing.assert_allclose(permuted, kernel, rtol=1e-14, atol=0.0)
+
+
+def test_pair_kernel_at_the_lattice_bound_is_the_gaussian_pair_coulomb_law():
+    kmax, eps0 = 10.0, 2.0
+    dk = kmax / MAX_LATTICE_NMAX
+    assert math.floor(kmax / dk) == MAX_LATTICE_NMAX
+    rvec, s2 = np.array([[0.6, -0.48, 0.64]]), np.array([2.0 * (6.0 / kmax) ** 2])
+    r = float(np.linalg.norm(rvec))
+    gaussian_pair = math.erf(r / math.sqrt(2.0 * s2[0])) / (4.0 * math.pi * eps0 * r)
+    kernel = modes._pair_kernel(rvec, s2, dk, kmax, eps0)[0]
+    assert kernel == pytest.approx(gaussian_pair, rel=1e-4)
 
 
 def test_two_field_sector_energies_are_independent():
