@@ -501,8 +501,22 @@ def run_dual_covariance(cfg: ScenarioConfig, outdir: Path) -> Checks:
         residual = dual_covariance_residual(
             state, theta, steps, dt, units, require_shared_ratio=require_shared
         )
-        checks.below(f"covariance_residual_theta_{theta!r}", residual, 1e-10)
+        checks.below(f"covariance_residual_theta_{theta!r}", residual, 1e-13)
     evolved = step_symmetric_maxwell(state, dt, units, steps)
+    if any(np.any(s.velocity != 0.0) and charge_norm(s.charges, units) > 0.0 for s in sources):
+        # the residual's sensitivity to charges left unrotated; charges act only
+        # through their currents, so slow sources and short runs show round-off,
+        # and the value is recorded, not checked (the acceptance gate asserts 1e-5)
+        defects = []
+        for theta in thetas:
+            fields_only = EMState(0.0, grid, inverse_rotate_fields(fields, theta, units), sources)
+            first = step_symmetric_maxwell(fields_only, dt, units, steps).fields
+            last = inverse_rotate_fields(evolved.fields, theta, units)
+            num = math.sqrt(field_quadratic_form(FieldVecPair(first.E - last.E, first.B - last.B),
+                                                 units))
+            den = math.sqrt(field_quadratic_form(last, units))
+            defects.append(num / den if den > 0.0 else num)
+        checks.record("fields_only_rotation_defect", min(defects))
     rE, rB = gauss_residuals(evolved, units)
     checks.below("gauss_residual_E", float(rE), 1e-8)
     checks.below("gauss_residual_B", float(rB), 1e-8)
@@ -608,8 +622,8 @@ def run_noether_zero(cfg: ScenarioConfig, outdir: Path) -> Checks:
     checks = Checks()
     checks.record("config_count", count)
     checks.record("mode_count", ms.n_modes)
-    checks.below("noether_charge_rel", worst_charge, 1e-10)
-    checks.below("noether_current_rel", worst_current, 1e-10)
+    checks.below("noether_charge_rel", worst_charge, 1e-13)
+    checks.below("noether_current_rel", worst_current, 1e-13)
     checks.above("violating_charge_rel", violating, 1e-3)
     return checks
 
@@ -646,7 +660,7 @@ def run_helicity_conservation(cfg: ScenarioConfig, outdir: Path) -> Checks:
     checks = Checks()
     checks.record("mode_count", ms.n_modes)
     checks.record("helicity_initial", float(helicities[0]))
-    checks.below("helicity_drift", drift, 1e-10)
+    checks.below("helicity_drift", drift, 1e-13)
     return checks
 
 

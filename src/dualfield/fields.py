@@ -242,30 +242,6 @@ def _gaussian_profile(source: PointSource, grid: Grid3) -> np.ndarray:
     return (1.0 / grid.cell_volume) * fx * fy * fz
 
 
-def source_spectra(
-    sources: list[PointSource], grid: Grid3
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Analytic spectra (rho_e, rho_m, j_e, j_m) of the smeared sources.
-
-    Entries are Fourier-series coefficients divided by the cell volume on the
-    Nyquist-free half spectrum, shape (nx, ny, nz // 2 + 1) per component,
-    i.e. ``_to_grid`` of a returned array gives the real-space samples.  The
-    currents are those of ``current_spectra`` (zero when no source moves).
-    """
-    shape = _kgrid(grid).shape[1:]
-    rho_e = np.zeros(shape, dtype=complex)
-    rho_m = np.zeros(shape, dtype=complex)
-    for s in sources:
-        _validate_source_geometry(s, grid)
-        profile = _gaussian_profile(s, grid)
-        rho_e += s.charges.qe * profile
-        rho_m += s.charges.qm * profile
-    currents = current_spectra(sources, grid)
-    if currents is None:
-        currents = (np.zeros((3,) + shape, dtype=complex), np.zeros((3,) + shape, dtype=complex))
-    return rho_e, rho_m, *currents
-
-
 def check_shared_ratio(sources: list["PointSource"]) -> None:
     """Raise ``PreconditionError`` unless all charge pairs are parallel, to 1e-12.
 
@@ -284,16 +260,15 @@ def check_shared_ratio(sources: list["PointSource"]) -> None:
 
 def current_spectra(
     sources: list[PointSource], grid: Grid3
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Spectra (j_e, j_m) of the moving sources only, or None if none move.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic spectra (j_e, j_m) of the moving sources, zero when none moves.
 
-    Same conventions and half-spectrum shape as ``source_spectra``, each
-    (3, nx, ny, nz // 2 + 1); geometry is not re-validated, so positions may
-    sit outside the box (the spectra are periodic in them).
+    Fourier-series coefficients divided by the cell volume on the Nyquist-free
+    half spectrum, each (3, nx, ny, nz // 2 + 1), so ``_to_grid`` gives the
+    real-space samples; geometry is not re-validated, so positions may sit
+    outside the box (the spectra are periodic in them).
     """
     movers = [s for s in sources if np.any(s.velocity != 0.0)]
-    if not movers:
-        return None
     j_e = np.zeros(_kgrid(grid).shape, dtype=complex)
     j_m = np.zeros(_kgrid(grid).shape, dtype=complex)
     for s in movers:
@@ -313,7 +288,15 @@ def deposit_sources(
     its analytic spectrum, so the integrated charge equals the source charge
     exactly and the current is charge times velocity per source.
     """
-    rho_e, rho_m, j_e, j_m = (_to_grid(hat) for hat in source_spectra(sources, grid))
+    rho_e = np.zeros(_kgrid(grid).shape[1:], dtype=complex)
+    rho_m = np.zeros_like(rho_e)
+    for s in sources:
+        _validate_source_geometry(s, grid)
+        profile = _gaussian_profile(s, grid)
+        rho_e += s.charges.qe * profile
+        rho_m += s.charges.qm * profile
+    hats = (rho_e, rho_m, *current_spectra(sources, grid))
+    rho_e, rho_m, j_e, j_m = (_to_grid(hat) for hat in hats)
     return (
         ScalarField(grid, rho_e),
         ScalarField(grid, rho_m),

@@ -379,6 +379,12 @@ def test_push_particle_builds_no_particle_state_per_stage(monkeypatch, model):
     assert len(built) == 0
 
 
+@pytest.mark.parametrize("mass", [0.0, -1.0, math.nan])
+def test_particle_state_rejects_a_mass_that_is_not_positive(mass):
+    with pytest.raises(ValueError, match="mass must be positive"):
+        particle(mass=mass)
+
+
 def test_push_particle_rejects_bad_arguments():
     sampler = UniformFieldSampler(np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError):

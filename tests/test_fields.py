@@ -29,7 +29,6 @@ from dualfield.fields import (
     load_field,
     point_magnetic_field,
     save_field,
-    source_spectra,
     spectral_divergence,
     spectral_gradient,
 )
@@ -237,21 +236,11 @@ def test_deposit_peak_sits_at_the_source():
     assert np.max(np.abs(pos - source.position)) <= max(grid.spacing)
 
 
-def test_current_spectra_none_for_static_sources():
+def test_current_spectra_zero_for_static_sources():
     grid = cube(16)
-    assert current_spectra([source_at((1, 1, 1))], grid) is None
-
-
-def test_source_spectra_currents_are_current_spectra():
-    grid = cube(32)
-    sources = [
-        source_at((1.0, 2.0, 3.0), qe=0.7, qm=-0.3, v=(0.1, -0.2, 0.05), sigma=0.5),
-        source_at((4.0, 0.5, 5.5), qe=-1.1, qm=0.4, v=(0.0, 0.0, 0.3), sigma=0.6),
-    ]
-    _, _, j_e, j_m = source_spectra(sources, grid)
-    moving_e, moving_m = current_spectra(sources, grid)
-    assert j_e.tobytes() == moving_e.tobytes()
-    assert j_m.tobytes() == moving_m.tobytes()
+    j_e, j_m = current_spectra([source_at((1, 1, 1))], grid)
+    assert j_e.shape == j_m.shape == _kgrid(grid).shape
+    assert not np.any(j_e) and not np.any(j_m)
 
 
 def test_at_time_moves_and_wraps():
@@ -477,6 +466,25 @@ def test_mode_observables_are_written_once():
         if isinstance(n, ast.Call) and ast.unparse(n.func) == "np.add.at"
     ]
     assert len(add_at) == 2
+
+
+# the state builders and verdicts behind the scenarios of criteria 2 to 7
+SCENARIO_INTERNALS = {
+    "random_wave_fields", "deposit_sources", "step_symmetric_maxwell", "dual_covariance_residual",
+    "noether_dual_charge", "noether_dual_current", "symmetric_charge_energy", "two_field_energy",
+    "coulomb_mode_set", "push_particle", "free_evolve_modes",
+}
+
+
+def test_the_acceptance_gate_takes_scenario_verdicts_from_the_scenarios():
+    # a call or import of one of these would grow a second verdict next to the CLI's
+    tree = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    called = {(_called(n.func) or "").rsplit(".", 1)[-1] for n in ast.walk(tree)
+              if isinstance(n, ast.Call)}
+    imported = {alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                for alias in n.names}
+    assert (called | imported) & SCENARIO_INTERNALS == set()
+    assert "main" in called
 
 
 def _divides_by_k2(node):

@@ -305,10 +305,12 @@ KERNEL_PAIRS = np.array([[0.3, -0.7, 1.1], [-1.2, 0.4, 0.25], [0.05, 0.9, -0.6]]
 KERNEL_S2 = np.array([0.02, 0.05, 0.11])
 
 
-@pytest.mark.parametrize("kmax", [6.0, 2.2, 5.3])
+@pytest.mark.parametrize("kmax", [6.0, 2.2, 5.3, 5.25])
 def test_pair_kernel_matches_the_full_signed_lattice(kmax):
     # nmax 12 reaches past the exact-weight block, nmax 4 cuts through it;
-    # nmax 10 with (kmax / dk)^2 = 112.36 ends on a partial shell
+    # nmax 10 with (kmax / dk)^2 = 112.36 ends on a partial shell, but its
+    # shells 111 and 112 are empty (no sum of three squares); (kmax / dk)^2 =
+    # 110.25 ends on the occupied shell 110 = 10^2 + 3^2 + 1^2
     kernel = modes._pair_kernel(KERNEL_PAIRS, KERNEL_S2, 0.5, kmax, 2.0)
     reference = full_lattice_kernel(KERNEL_PAIRS, KERNEL_S2, 0.5, kmax, 2.0)
     np.testing.assert_allclose(kernel, reference, rtol=1e-13, atol=0.0)
