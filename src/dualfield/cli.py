@@ -50,6 +50,8 @@ from .fields import (
 )
 from .maxwell import (
     EMState,
+    _covariance_defect,
+    _evolve_hat,
     dual_covariance_residual,
     field_energy,
     gauss_residuals,
@@ -507,15 +509,11 @@ def run_dual_covariance(cfg: ScenarioConfig, outdir: Path) -> Checks:
         # the residual's sensitivity to charges left unrotated; charges act only
         # through their currents, so slow sources and short runs show round-off,
         # and the value is recorded, not checked (the acceptance gate asserts 1e-5)
+        reference = _evolve_hat(state, dt, units, steps)
         defects = []
         for theta in thetas:
             fields_only = EMState(0.0, grid, inverse_rotate_fields(fields, theta, units), sources)
-            first = step_symmetric_maxwell(fields_only, dt, units, steps).fields
-            last = inverse_rotate_fields(evolved.fields, theta, units)
-            num = math.sqrt(field_quadratic_form(FieldVecPair(first.E - last.E, first.B - last.B),
-                                                 units))
-            den = math.sqrt(field_quadratic_form(last, units))
-            defects.append(num / den if den > 0.0 else num)
+            defects.append(_covariance_defect(fields_only, reference, theta, steps, dt, units))
         checks.record("fields_only_rotation_defect", min(defects))
     rE, rB = gauss_residuals(evolved, units)
     checks.below("gauss_residual_E", float(rE), 1e-8)

@@ -16,9 +16,10 @@ of an axis has no Hermitian partner, so on that axis's Nyquist plane
 along the axis vanish there), and source spectra are zero on the plane.
 A grid sum of a product of two real fields is the Parseval sum
 ``sum w Re(conj(f) g) / N`` over the half spectrum, with ``w = 1`` on the
-planes kz = 0 and kz = nz/2 and ``w = 2`` elsewhere.  ``_transverse_hat``
-is the one transverse projector on half spectra, ``_kdot`` the one k . v over
-the component axis and ``_inv_ksquared`` the one 1 / k^2 (0 where k is 0).
+planes kz = 0 and kz = nz/2 and ``w = 2`` elsewhere, as ``_parseval_weights``
+gives them.  ``_transverse_hat`` is the one transverse projector on half
+spectra, ``_kdot`` the one k . v over the component axis and
+``_inv_ksquared`` the one 1 / k^2 (0 where k is 0).
 
 Sources are Gaussian-smeared point carriers.  Deposition synthesizes the
 periodic image sum of the Gaussian directly from its analytic spectrum,
@@ -120,6 +121,14 @@ def _inv_ksquared(grid: Grid3) -> np.ndarray:
     """1 / k^2, and 0 wherever ``_kgrid`` is zero."""
     k2 = _ksquared(grid)
     return np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0.0)
+
+
+def _parseval_weights(grid: Grid3) -> np.ndarray:
+    """Parseval weights along kz of the half spectrum: 1 on the planes kz = 0
+    and kz = nz/2, which have no mirror in it, and 2 elsewhere."""
+    weights = np.full(grid.n[2] // 2 + 1, 2.0)
+    weights[[0, -1]] = 1.0
+    return weights
 
 
 def _kdot(k: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -30,15 +30,28 @@ and on longitudinal parts as phi(0), as it does wherever ``_kgrid`` is zero
 (k = 0 and Nyquist corners).  alpha and beta at -k are the conjugates of
 those at k, so spectra stay Hermitian.  The geometric sum over n is
 z^(N-1) expm1(N log r) / expm1(log r) with r = mu / z, mu the eigenvalue of
-M, and N where log r = 0.  A call therefore costs one forward and one
-inverse transform of each field plus a fixed number of elementwise passes
-per moving source, however many steps it takes; static sources add nothing.
+M, and N where log r = 0.  A mover's current spectrum is q v times its
+unit-charge profile (``fields._gaussian_profile``), so its whole forcing is
+that profile times three fixed tables, alpha, (alpha - phi(0)) k . v and
+beta / omega of its sum, scaled by -qe / eps0 into E and by -qm into B.
+A call therefore costs one forward and one inverse transform of each field,
+one profile per moving source and a fixed number of elementwise passes per
+mover, however many steps it takes; static sources add nothing.
 The one O(steps) part is the clock: ``t`` adds ``dt`` once per step, so n
 one-step calls give bitwise the same ``t`` as one n-step call.
-The coefficient tables are built once per (grid, dt, steps, c, mover
-velocities) and kept for the last such key, so a repeat call, such as the
-second evolution of ``dual_covariance_residual``, only transforms the fields
-and current spectra and accumulates them.
+
+The tables sit in two one-slot caches, each keyed on what it depends on:
+``_free_tables`` on (grid, dt, steps, c) holds alpha and beta / omega of M^N
+and the velocity-free parts of the forcing sums, and ``_forcing_tables``
+holds each mover's triple for those and the mover velocities.  A repeat
+call, such as the second evolution of ``dual_covariance_residual``, and a
+free evolution after a sourced one on the same (grid, dt, steps, c) build
+no table.
+
+``dual_covariance_residual`` never returns to the grid: it evolves both of
+its paths with the spectral core ``_evolve_hat``, rotates the evolved half
+spectra (the rotation is pointwise and linear, so it commutes with the
+transform), and takes the energy norm as the Parseval sum of ``fields``.
 """
 
 from __future__ import annotations
@@ -52,6 +65,7 @@ import numpy as np
 from .dualcore import (
     FieldVecPair,
     UnitSystem,
+    _rotate,
     field_quadratic_form,
     inverse_rotate_fields,
     rotate_charges,
@@ -61,15 +75,18 @@ from .fields import (
     Grid3,
     PointSource,
     _curl_hat,
+    _gaussian_profile,
+    _half_mesh,
     _inv_ksquared,
     _kdot,
     _kgrid,
     _ksquared,
+    _parseval_weights,
     _to_grid,
     _to_spectrum,
     _validate_source_geometry,
     check_shared_ratio,
-    current_spectra,
+    current_spectra,  # not called here; dualbench's tracer tests patch maxwell.current_spectra
     deposit_sources,
     spectral_divergence,
 )
@@ -125,15 +142,18 @@ def _geometric_sum(n: int, em1, emn, w1: np.ndarray, wn: np.ndarray) -> np.ndarr
     return np.where(flat, float(n), num / np.where(flat, 1.0, den))
 
 
-@lru_cache(maxsize=1)
-def _propagator(grid: Grid3, dt: float, steps: int, c: float, velocities: tuple[bytes, ...]):
-    """Read-only alpha and beta / omega of M^N, and the alpha, beta / omega and
-    phi(0) triple of each mover's forcing sum.
+def _axis_phase(mesh, velocity: np.ndarray, scale: float) -> np.ndarray:
+    """exp(i scale k . v) on the half spectrum, as the product of its per-axis
+    factors over the Nyquist-free open mesh ``mesh`` of wavenumbers."""
+    x, y, z = (_cis(scale * v * k) for v, k in zip(velocity, mesh))
+    return x * y * z
 
-    Keyed on each mover's ``velocity.tobytes()``, so -0.0 and 0.0 never share
-    an entry; only the last key is kept.
-    """
-    k = _kgrid(grid)
+
+@lru_cache(maxsize=1)
+def _free_tables(grid: Grid3, dt: float, steps: int, c: float):
+    """Read-only tables that no mover changes: alpha and beta / omega of M^N,
+    then 1 / omega, P0(i x), Pm(i x), expm1 of log |mu| and of N log |mu|,
+    and exp(i arg mu / 2) and exp(i N arg mu / 2), with x = omega dt."""
     omega = c * np.sqrt(_ksquared(grid))
     inv_omega = np.divide(1.0, omega, out=np.zeros_like(omega), where=omega > 0.0)
     x = dt * omega
@@ -142,19 +162,40 @@ def _propagator(grid: Grid3, dt: float, steps: int, c: float, velocities: tuple[
     log_abs = 0.5 * np.log1p(x2 * x2 * x2 * (x2 / 576.0 - 1.0 / 72.0))
     arg = np.arctan2(x - x * x2 / 6.0, 1.0 - 0.5 * x2 + x2 * x2 / 24.0)
     decay = np.exp(steps * log_abs)
-    alpha = decay * np.cos(steps * arg)
-    beta = decay * np.sin(steps * arg) * inv_omega
+    tables = (
+        decay * np.cos(steps * arg),
+        decay * np.sin(steps * arg) * inv_omega,
+        inv_omega,
+        (1.0 - 0.5 * x2) + 1j * (x - 0.25 * x * x2),
+        (4.0 - 0.5 * x2) + 2j * x,
+        np.expm1(log_abs),
+        np.expm1(steps * log_abs),
+        _cis(0.5 * arg),
+        _cis(0.5 * steps * arg),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
-    if velocities:
-        p0 = (1.0 - 0.5 * x2) + 1j * (x - 0.25 * x * x2)  # P0(i x)
-        pm = (4.0 - 0.5 * x2) + 2j * x  # Pm(i x)
-        em1, emn = np.expm1(log_abs), np.expm1(steps * log_abs)
-        rho1, rhon = _cis(0.5 * arg), _cis(0.5 * steps * arg)
+
+@lru_cache(maxsize=1)
+def _forcing_tables(
+    grid: Grid3, dt: float, steps: int, c: float, velocities: tuple[bytes, ...]
+):
+    """Read-only alpha, (alpha - phi(0)) k . v and beta / omega of
+    sum_{n<N} M^(N-1-n) z^n Q for each mover.
+
+    Keyed on each mover's ``velocity.tobytes()``, so -0.0 and 0.0 never share
+    an entry; only the last key is kept.
+    """
+    _, _, inv_omega, p0, pm, em1, emn, rho1, rhon = _free_tables(grid, dt, steps, c)
+    k = _kgrid(grid)
+    mesh = _half_mesh(grid, grid.kaxes())
 
     def forcing(velocity: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """alpha, beta / omega and phi(0) of sum_{n<N} M^(N-1-n) z^n Q for one mover."""
-        theta = dt * _kdot(k, velocity)
-        u1, un = _cis(0.5 * theta), _cis(0.5 * steps * theta)  # exp(i theta/2), exp(i N theta/2)
+        # exp(i theta/2) and exp(i N theta/2) with theta = dt k . v
+        u1 = _axis_phase(mesh, velocity, 0.5 * dt)
+        un = _axis_phase(mesh, velocity, 0.5 * steps * dt)
         half = u1.conj()
         z = half * half
         scale = (dt / 6.0) * (un.conj() * u1) ** 2  # (h/6) z^(N-1)
@@ -163,22 +204,21 @@ def _propagator(grid: Grid3, dt: float, steps: int, c: float, velocities: tuple[
         minus = _geometric_sum(steps, em1, emn, u1 * rho1.conj(), un * rhon.conj()) * (
             p0.conj() + half * pm.conj() + z)
         phi0 = scale * _geometric_sum(steps, 0.0, 0.0, u1, un) * (1.0 + 4.0 * half + z)
-        return (0.5 * scale) * (plus + minus), (-0.5j * scale) * (plus - minus) * inv_omega, phi0
+        alpha = (0.5 * scale) * (plus + minus)
+        beta = (-0.5j * scale) * (plus - minus) * inv_omega
+        return alpha, (alpha - phi0) * _kdot(k, velocity), beta
 
     forcings = tuple(forcing(np.frombuffer(v)) for v in velocities)
-    for table in (alpha, beta, *(t for triple in forcings for t in triple)):
+    for table in (t for triple in forcings for t in triple):
         table.flags.writeable = False
-    return alpha, beta, forcings
+    return forcings
 
 
-def step_symmetric_maxwell(state: EMState, dt: float, units: UnitSystem, steps: int = 1) -> EMState:
-    """Advance the state by ``steps`` classical RK4 steps of size ``dt``.
-
-    The steps are taken at once, in the closed form of the module docstring,
-    so the cost does not grow with ``steps`` beyond the clock's float sum.
-    Raises ``PreconditionError`` if ``dt`` exceeds half a light-crossing of
-    the smallest cell, the stability margin of spectral RK4.
-    """
+def _evolve_hat(
+    state: EMState, dt: float, units: UnitSystem, steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Half spectra of E and B after ``steps`` steps: ``step_symmetric_maxwell``
+    without its inverse transforms, clock and source wrap."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
     limit = cfl_limit(state.grid, units)
@@ -192,9 +232,7 @@ def step_symmetric_maxwell(state: EMState, dt: float, units: UnitSystem, steps: 
 
     grid = state.grid
     k = _kgrid(grid)
-    movers = [s for s in state.sources if np.any(s.velocity != 0.0)]  # static ones carry no current
-    alpha, beta, forcings = _propagator(
-        grid, dt, steps, units.c, tuple(s.velocity.tobytes() for s in movers))
+    alpha, beta = _free_tables(grid, dt, steps, units.c)[:2]
     # phi(A) y = alpha y - (alpha - phi(0)) k (k . y) / k^2 + beta L y, summed
     # over the free part and each moving source as [alpha y, (alpha - phi(0)) k . y, beta y]
     sums = []
@@ -202,30 +240,43 @@ def step_symmetric_maxwell(state: EMState, dt: float, units: UnitSystem, steps: 
         y = _to_spectrum(field)
         sums.append((alpha * y, (alpha - 1.0) * _kdot(k, y), beta * y))
 
-    for source, (alpha, beta, phi0) in zip(movers, forcings):
-        j_e, j_m = current_spectra([source], grid)
-        j_e *= -1.0 / units.eps0
-        j_m *= -1.0
-        for (total, lon, rot), g in zip(sums, (j_e, j_m)):
-            lon += (alpha - phi0) * _kdot(k, g)
-            rot += beta * g
-            g *= alpha
-            total += g
+    movers = [s for s in state.sources if np.any(s.velocity != 0.0)]  # static ones carry no current
+    if movers:
+        forcings = _forcing_tables(
+            grid, dt, steps, units.c, tuple(s.velocity.tobytes() for s in movers))
+        for source, tables in zip(movers, forcings):
+            profile = _gaussian_profile(source, grid)
+            total_s, lon_s, rot_s = (table * profile for table in tables)
+            charges = (-source.charges.qe / units.eps0, -source.charges.qm)
+            for (total, lon, rot), q in zip(sums, charges):
+                qv = (q * source.velocity)[:, None, None, None]
+                total += qv * total_s
+                lon += q * lon_s
+                rot += qv * rot_s
 
     (E_hat, E_lon, E_rot), (B_hat, B_lon, B_rot) = sums
     E_hat -= k * (_inv_ksquared(grid) * E_lon)
     E_hat += units.c**2 * _curl_hat(k, B_rot)
     B_hat -= k * (_inv_ksquared(grid) * B_lon)
     B_hat -= _curl_hat(k, E_rot)
+    return E_hat, B_hat
 
+
+def step_symmetric_maxwell(state: EMState, dt: float, units: UnitSystem, steps: int = 1) -> EMState:
+    """Advance the state by ``steps`` classical RK4 steps of size ``dt``.
+
+    The steps are taken at once, in the closed form of the module docstring,
+    so the cost does not grow with ``steps`` beyond the clock's float sum.
+    Raises ``PreconditionError`` if ``dt`` exceeds half a light-crossing of
+    the smallest cell, the stability margin of spectral RK4.
+    """
+    E_hat, B_hat = _evolve_hat(state, dt, units, steps)
     t = state.t
     for _ in range(steps):
         t += dt
-    E = _to_grid(E_hat)
-    B = _to_grid(B_hat)
     elapsed = t - state.t
-    sources = [s.at_time(elapsed, box=grid.L) for s in state.sources]
-    return EMState(t, grid, FieldVecPair(E, B), sources)
+    sources = [s.at_time(elapsed, box=state.grid.L) for s in state.sources]
+    return EMState(t, state.grid, FieldVecPair(_to_grid(E_hat), _to_grid(B_hat)), sources)
 
 
 def gauss_residuals(state: EMState, units: UnitSystem) -> tuple[float, float]:
@@ -269,6 +320,35 @@ def rotate_em_state(state: EMState, theta: float, units: UnitSystem) -> EMState:
     return EMState(state.t, state.grid, fields, sources)
 
 
+def _half_energy(E_hat: np.ndarray, B_hat: np.ndarray, grid: Grid3, units: UnitSystem) -> float:
+    """N times ``field_quadratic_form`` of the fields with these half spectra,
+    as the Parseval sum of ``fields``."""
+    form = units.eps0 * (E_hat.real**2 + E_hat.imag**2)
+    form += (B_hat.real**2 + B_hat.imag**2) / units.mu0
+    return float(np.sum(form, axis=(0, 1, 2)) @ _parseval_weights(grid))
+
+
+def _covariance_defect(
+    first: EMState,
+    reference: tuple[np.ndarray, np.ndarray],
+    theta: float,
+    steps: int,
+    dt: float,
+    units: UnitSystem,
+) -> float:
+    """Energy-norm defect of ``first`` evolved against ``reference`` rotated.
+
+    ``reference`` holds the evolved (E, B) half spectra of the unrotated
+    state, and ``first`` its rotated counterpart before evolution; the
+    defect is relative to the rotated reference.
+    """
+    E_first, B_first = _evolve_hat(first, dt, units, steps)
+    E_last, B_last = _rotate(*reference, theta, units.c)  # as ``inverse_rotate_fields``
+    num = math.sqrt(_half_energy(E_first - E_last, B_first - B_last, first.grid, units))
+    den = math.sqrt(_half_energy(E_last, B_last, first.grid, units))
+    return num / den if den > 0.0 else num
+
+
 def dual_covariance_residual(
     state: EMState,
     theta: float,
@@ -283,15 +363,13 @@ def dual_covariance_residual(
     Both paths advance ``steps`` RK4 steps of size ``dt``; the defect is
     measured in the dual-invariant energy norm, relative to the evolved and
     rotated reference path.  Zero sources and theta = 0 give exactly zero.
+    Neither path returns to the grid: the evolved half spectra are rotated
+    with the coefficients of ``rotate_em_state``, and the norm is taken on
+    the half spectrum by Parseval's identity, which equals the grid sum of
+    ``field_quadratic_form`` to round-off.
     """
     if require_shared_ratio:
         check_shared_ratio(state.sources)
-    rotated_first = step_symmetric_maxwell(rotate_em_state(state, theta, units), dt, units, steps)
-    rotated_last = rotate_em_state(step_symmetric_maxwell(state, dt, units, steps), theta, units)
-    diff = FieldVecPair(
-        rotated_first.fields.E - rotated_last.fields.E,
-        rotated_first.fields.B - rotated_last.fields.B,
-    )
-    num = math.sqrt(field_quadratic_form(diff, units))
-    den = math.sqrt(field_quadratic_form(rotated_last.fields, units))
-    return num / den if den > 0.0 else num
+    reference = _evolve_hat(state, dt, units, steps)
+    first = rotate_em_state(state, theta, units)
+    return _covariance_defect(first, reference, theta, steps, dt, units)

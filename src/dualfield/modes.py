@@ -78,6 +78,7 @@ from .fields import (
     PointSource,
     _curl_hat,
     _kgrid,
+    _parseval_weights,
     _to_grid,
     _to_spectrum,
     _transverse_hat,
@@ -593,6 +594,5 @@ def spin_observable(
     B = _curl_hat(k, A) - dC / units.c**2
     E_T, B_T, A_T, C_T = _transverse_hat(np.stack([E, B, A, C]), grid)
     cross = np.cross(np.conj(E_T), A_T, axis=0) + np.cross(np.conj(B_T), C_T, axis=0)
-    weight = np.where(np.arange(k.shape[-1]) % (grid.n[2] // 2) == 0, 1.0, 2.0)
-    total = np.sum(weight * cross.real, axis=(1, 2, 3))
+    total = np.sum(_parseval_weights(grid) * cross.real, axis=(1, 2, 3))
     return units.eps0 * grid.cell_volume / math.prod(grid.n) * total

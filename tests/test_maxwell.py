@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from dualfield.dualcore import ChargePair, FieldVecPair, UnitSystem
+from dualfield.cli import random_wave_fields
+from dualfield.dualcore import (
+    ChargePair,
+    FieldVecPair,
+    UnitSystem,
+    field_quadratic_form,
+    inverse_rotate_fields,
+)
 from dualfield.errors import PreconditionError
 from dualfield import maxwell
 from dualfield.fields import (
@@ -316,7 +323,7 @@ def test_a_sourced_call_does_the_same_work_for_any_step_count(monkeypatch):
 
         return wrapper
 
-    for name in ("_to_spectrum", "_to_grid", "current_spectra"):
+    for name in ("_to_spectrum", "_to_grid", "_gaussian_profile"):
         monkeypatch.setattr(maxwell, name, counted(name))
     counts = []
     for steps in (1, 100):
@@ -324,20 +331,44 @@ def test_a_sourced_call_does_the_same_work_for_any_step_count(monkeypatch):
         step_symmetric_maxwell(state, dt, units, steps)
         counts.append(dict(calls))
     assert counts[0] == counts[1]
-    assert counts[0]["current_spectra"] == 2  # one per moving source, none for the static one
+    # one profile per moving source, none for the static one; one transform each way per field
+    assert counts[0] == {"_to_spectrum": 2, "_to_grid": 2, "_gaussian_profile": 2}
 
 
-# --- coefficient-table cache ----------------------------------------------------------
+# --- coefficient-table caches ---------------------------------------------------------
+
+
+def clear_tables():
+    maxwell._free_tables.cache_clear()
+    maxwell._forcing_tables.cache_clear()
+
+
+def misses():
+    """Builds of (mover-independent, forcing) tables since the last clear."""
+    return maxwell._free_tables.cache_info().misses, maxwell._forcing_tables.cache_info().misses
 
 
 def test_a_covariance_residual_builds_its_tables_once():
     state, dt, units = reference_case("two movers and a static source")
     shared = [moving_source(s.position, s.velocity, 0.8 * q, 0.4 * q, sigma=s.sigma)
               for s, q in zip(state.sources, (1.0, -0.6, 0.3))]
-    maxwell._propagator.cache_clear()
+    clear_tables()
     dual_covariance_residual(EMState(0.0, state.grid, state.fields, shared), 0.6, 5, dt, units)
-    info = maxwell._propagator.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert misses() == (1, 1)
+    info = maxwell._forcing_tables.cache_info()
+    assert (info.hits, info.currsize) == (1, 1)
+    assert maxwell._free_tables.cache_info().currsize == 1
+
+
+def test_a_free_evolution_after_a_sourced_one_builds_no_table():
+    sourced, dt, units = reference_case("two movers and a static source")
+    free = EMState(0.0, sourced.grid, sourced.fields, [])
+    clear_tables()
+    step_symmetric_maxwell(sourced, dt, units, 7)
+    hits = maxwell._free_tables.cache_info().hits
+    step_symmetric_maxwell(free, dt, units, 7)
+    assert misses() == (1, 1)
+    assert maxwell._free_tables.cache_info().hits == hits + 1
 
 
 def bitwise(state):
@@ -355,7 +386,7 @@ def with_velocity(state, index, velocity):
 def test_changing_one_key_input_rebuilds_the_tables(change):
     state, dt, units = reference_case("two movers and a static source")
     steps = 3
-    maxwell._propagator.cache_clear()
+    clear_tables()
     step_symmetric_maxwell(state, dt, units, steps)
     if change == "c":
         units = UnitSystem(c=1.5)
@@ -368,17 +399,19 @@ def test_changing_one_key_input_rebuilds_the_tables(change):
     else:
         state = with_velocity(state, 0, (0.05, -0.0, 0.0))
     step_symmetric_maxwell(state, dt, units, steps)
-    info = maxwell._propagator.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (2, 0, 1)
+    # a velocity keys only the forcing tables
+    assert misses() == ((1, 2) if change.startswith("velocity") else (2, 2))
+    for table in (maxwell._free_tables, maxwell._forcing_tables):
+        assert table.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("name", ["free", "two movers and a static source"])
 def test_a_warm_table_evolution_equals_a_cold_one_bitwise(name):
     state, dt, units = reference_case(name)
-    maxwell._propagator.cache_clear()
+    clear_tables()
     cold = step_symmetric_maxwell(state, dt, units, 7)
     warm = step_symmetric_maxwell(state, dt, units, 7)
-    assert maxwell._propagator.cache_info().hits == 1
+    assert misses() == ((1, 0) if name == "free" else (1, 1))
     assert bitwise(warm) == bitwise(cold)
 
 
@@ -386,19 +419,20 @@ def test_an_evolution_after_another_light_speed_equals_a_cold_one():
     state, dt, _ = reference_case("two movers and a static source")
     fast = UnitSystem(c=3.0)
     dt /= 3.0
-    maxwell._propagator.cache_clear()
+    clear_tables()
     step_symmetric_maxwell(state, dt, NAT, 7)
     after = step_symmetric_maxwell(state, dt, fast, 7)
-    maxwell._propagator.cache_clear()
+    clear_tables()
     assert bitwise(after) == bitwise(step_symmetric_maxwell(state, dt, fast, 7))
 
 
 def test_cached_tables_are_read_only():
     state, dt, units = reference_case("two movers and a static source")
     movers = tuple(s.velocity.tobytes() for s in state.sources[:2])
-    alpha, beta, forcings = maxwell._propagator(state.grid, dt, 5, units.c, movers)
-    tables = [alpha, beta, *(t for triple in forcings for t in triple)]
-    assert len(tables) == 8
+    free = maxwell._free_tables(state.grid, dt, 5, units.c)
+    forcings = maxwell._forcing_tables(state.grid, dt, 5, units.c, movers)
+    tables = [*free, *(t for triple in forcings for t in triple)]
+    assert len(tables) == 9 + 2 * 3
     assert not any(t.flags.writeable for t in tables)
 
 
@@ -509,6 +543,49 @@ def test_covariance_with_mixed_ratio_sources_needs_the_flag():
         state, math.pi / 4, 10, 0.01, NAT, require_shared_ratio=False
     )
     assert residual < 1e-10  # independent charge pairs still transform covariantly
+
+
+def test_the_half_spectrum_energy_is_n_times_the_grid_form():
+    # white noise fills the kz = 0 and kz = nz/2 planes, so a weight of 2 on
+    # either edge plane would be off by about a percent
+    units = UnitSystem(c=3.0, eps0=0.2)
+    grid = Grid3((6, 8, 10), (5.0, 6.0, 7.0))
+    state = white_noise_state(grid, [], 25)
+    half = maxwell._half_energy(_to_spectrum(state.fields.E), _to_spectrum(state.fields.B),
+                                grid, units)
+    grid_form = math.prod(grid.n) * field_quadratic_form(state.fields, units)
+    assert abs(half - grid_form) <= 1e-13 * grid_form
+
+
+def criterion_2_shared_state():
+    """The shared-ratio moving pair of ``tests/acceptance/covariance-shared.ini``
+    on its seed-5 waves and Coulomb fields."""
+    grid = cube(32)
+    sources = [
+        moving_source((3.0, 3.0, 3.0), (0.05, 0.0, 0.0), 1.0, 0.4, sigma=0.5),
+        moving_source((1.5, 4.2, 2.0), (0.0, -0.05, 0.02), -0.7, -0.28, sigma=0.5),
+    ]
+    waves = random_wave_fields(grid, NAT, np.random.default_rng(5))
+    rho_e, rho_m, _, _ = deposit_sources(sources, grid)
+    E = waves.E + coulomb_field_from_density(rho_e, 1.0 / NAT.eps0).data
+    B = waves.B + coulomb_field_from_density(rho_m, 1.0).data
+    return EMState(0.0, grid, FieldVecPair(E, B), sources)
+
+
+def test_the_spectral_defect_equals_the_grid_space_defect():
+    # fields rotated without their charges: a defect well above round-off
+    state = criterion_2_shared_state()
+    theta, steps, dt = math.pi / 4, 100, 0.005
+    fields_only = EMState(0.0, state.grid, inverse_rotate_fields(state.fields, theta, NAT),
+                          state.sources)
+    reference = maxwell._evolve_hat(state, dt, NAT, steps)
+    spectral = maxwell._covariance_defect(fields_only, reference, theta, steps, dt, NAT)
+    first = step_symmetric_maxwell(fields_only, dt, NAT, steps).fields
+    last = inverse_rotate_fields(step_symmetric_maxwell(state, dt, NAT, steps).fields, theta, NAT)
+    on_grid = math.sqrt(field_quadratic_form(FieldVecPair(first.E - last.E, first.B - last.B), NAT)
+                        / field_quadratic_form(last, NAT))
+    assert 1e-4 < on_grid < 1e-3
+    assert abs(spectral - on_grid) <= 1e-10 * on_grid
 
 
 # --- guard rails -----------------------------------------------------------------------
