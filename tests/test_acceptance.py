@@ -57,9 +57,11 @@ def announce(number, name, detail):
     print(f"\nACCEPTANCE {number} {name}: PASS ({detail})", flush=True)
 
 
-def scenario(config, out):
-    """``summary.txt`` of ``dualfield run config``, which must exit 0."""
-    assert cli.main(["run", str(config), "--out", str(out)]) == 0
+def scenario(config, out, *overrides):
+    """``summary.txt`` of ``dualfield run config`` with each ``section.key=value``
+    of ``overrides``, which must exit 0."""
+    flags = [arg for item in overrides for arg in ("--override", item)]
+    assert cli.main(["run", str(config), "--out", str(out)] + flags) == 0
     summary = read_summary(out)
     assert summary["status"] == "pass"
     return summary
@@ -92,21 +94,29 @@ def test_criterion_1_dual_rotation_algebra():
              f"angle off by 1e-6 {floor:.2e} > 1e-7")
 
 
+# natural units, and a system where c and eps0 are not 1, so that a misplaced
+# factor of either shows
+UNIT_SYSTEMS = {"c=1 eps0=1": (), "c=3 eps0=0.2": ("units.c=3", "units.eps0=0.2")}
+
+
 def test_criterion_2_representation_equivalence(tmp_path):
     worst, floor = 0.0, math.inf
-    for setup in ("free", "shared", "independent"):
-        summary = scenario(CONFIGS / f"covariance-{setup}.ini", tmp_path / setup)
-        residuals = [float(v) for k, v in summary.items()
-                     if k.startswith("covariance_residual_theta_") and not k.endswith("_limit")]
-        assert len(residuals) == 4
-        assert max(residuals) < 1e-13, (setup, residuals)
-        worst = max(worst, *residuals)
-        if setup != "free":  # rotating the fields but not the charges breaks covariance
-            defect = float(summary["fields_only_rotation_defect"])
-            assert defect > 1e-5
-            floor = min(floor, defect)
+    for system, overrides in UNIT_SYSTEMS.items():
+        for setup in ("free", "shared", "independent"):
+            out = tmp_path / f"{setup} {system}"
+            summary = scenario(CONFIGS / f"covariance-{setup}.ini", out, *overrides)
+            residuals = [float(v) for k, v in summary.items()
+                         if k.startswith("covariance_residual_theta_") and not k.endswith("_limit")]
+            assert len(residuals) == 4
+            assert max(residuals) < 1e-13, (system, setup, residuals)
+            worst = max(worst, *residuals)
+            if setup != "free":  # rotating the fields but not the charges breaks covariance
+                defect = float(summary["fields_only_rotation_defect"])
+                assert defect > 1e-5, (system, setup, defect)
+                floor = min(floor, defect)
     announce(2, "representation-equivalence",
-             f"32^3 grid, 100 steps, 4 angles, 3 source setups, max {worst:.2e} < 1e-13; "
+             "32^3 grid, 100 steps, 4 angles, 3 source setups, "
+             f"units {' and '.join(UNIT_SYSTEMS)}, max {worst:.2e} < 1e-13; "
              f"fields rotated without charges {floor:.2e} > 1e-5")
 
 

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dualfield import cli
+from dualfield import cli, maxwell
 from dualfield.dualcore import UnitSystem
 
 BASE = {
@@ -150,6 +150,35 @@ def test_covariance_writes_field_snapshots(tmp_path):
     assert (out / "B_final.bin").is_file()
     header = (out / "snapshot_header.txt").read_text()
     assert "steps=10" in header
+
+
+@pytest.mark.parametrize("moving", [False, True])
+def test_dual_covariance_shares_one_reference_evolution(tmp_path, monkeypatch, moving):
+    # one reference and the snapshot, plus one evolution per angle for the
+    # residual and, with a moving charge, one per angle for the floor
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return evolve(*args, **kwargs)
+
+    evolve = maxwell._evolve_hat
+    monkeypatch.setattr(maxwell, "_evolve_hat", counting)
+    monkeypatch.setattr(cli, "_evolve_hat", counting)
+    text = BASE["covariance"] if moving else BASE["covariance"].split("[source.1]")[0]
+    thetas = [0.3, 0.7853981633974483, 2.0]
+    code = cli.main(["run", write_cfg(tmp_path, text), "--out", str(tmp_path / "out"),
+                     "--override", f"rotation.thetas={' '.join(map(repr, thetas))}"])
+    assert code == 0
+    k = len(thetas)
+    assert len(calls) == (2 * k + 2 if moving else k + 2)
+
+
+def test_every_scenario_passes_in_a_second_unit_system(tmp_path):
+    for key in sorted(BASE):
+        code = cli.main(["run", write_cfg(tmp_path, BASE[key]), "--out", str(tmp_path / key),
+                         "--override", "units.c=3", "--override", "units.eps0=0.2"])
+        assert code == 0, key
 
 
 def test_flyby_writes_both_trajectories(tmp_path):
@@ -312,7 +341,6 @@ def test_two_field_cross_judges_small_energies_by_their_ratio(tmp_path):
         ("covariance", "source.1.sigma=-1", 1),
         ("covariance", "evolution.dt=nan", 1),
         ("covariance", "source.1.velocity=2 0 0", 2),
-        ("covariance", "checks.require_shared_ratio=maybe", 1),
         ("covariance", "grid.n=1e400", 1),
         ("covariance", "grid.n=4", 1),
         ("covariance", "grid.n=6", 1),
@@ -377,6 +405,7 @@ def test_two_field_cross_judges_small_energies_by_their_ratio(tmp_path):
         ("covariance", "--override source.1.velocity=1e-300 "
                        "--override source.2.velocity=1e-300", 0),
         ("covariance", "evolution.dt=5e-324", 0),
+        ("covariance", "source.2.qm=0.5", 0),  # independent qm / qe ratios
     ],
 )
 def test_invalid_inputs_exit_with_their_code_not_a_traceback(tmp_path, capsys, key, override, code):
@@ -562,6 +591,8 @@ REMOVED = [
     ("helicity", "checks.max_drift=1e-10"),
     ("flyby", "checks.min_classical_ratio=1e-2"),
     ("flyby", "checks.max_quantum_ratio=1e-8"),
+    ("covariance", "checks.require_shared_ratio=true"),
+    ("covariance", "checks.require_shared_ratio=false"),
 ]
 
 
@@ -580,8 +611,7 @@ SOURCES = " ".join(f"source.{i}.{k}" for i in (1, 2)
                    for k in ("position", "velocity", "qe", "qm", "sigma"))
 READS = {
     "rotation": "sweep.count",
-    "covariance": "grid.n grid.l evolution.dt evolution.steps checks.require_shared_ratio "
-                  f"rotation.thetas {SOURCES}",
+    "covariance": f"grid.n grid.l evolution.dt evolution.steps rotation.thetas {SOURCES}",
     "coulomb": f"modes.kmax_sigma modes.dk_r {SOURCES}",
     "cross": f"modes.kmax_sigma modes.dk_r {SOURCES}",
     "noether": "grid.n grid.l modes.kmax sweep.count",

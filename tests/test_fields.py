@@ -472,7 +472,7 @@ def test_mode_observables_are_written_once():
 SCENARIO_INTERNALS = {
     "random_wave_fields", "deposit_sources", "step_symmetric_maxwell", "dual_covariance_residual",
     "noether_dual_charge", "noether_dual_current", "symmetric_charge_energy", "two_field_energy",
-    "coulomb_mode_set", "push_particle", "free_evolve_modes",
+    "coulomb_mode_set", "push_particle", "free_evolve_modes", "_covariance_defect",
 }
 
 
@@ -541,6 +541,7 @@ NO_CALLER_ALLOWED = {
     "fields.load_field": "reads back the E_final.bin / B_final.bin files dual-covariance writes",
     "dynamics.UniformFieldSampler": "closed-form orbits; pins push_particle in the parabola and gyration tests",
     "fields.helmholtz_decompose": "the benchmark's scenarios warm-up splits a 16^3 field with it",
+    "maxwell.dual_covariance_residual": "the benchmark's evolve verdicts time it; tier-1 pins it",
 }
 
 
