@@ -270,12 +270,20 @@ def step_symmetric_maxwell(state: EMState, dt: float, units: UnitSystem, steps: 
     Raises ``PreconditionError`` if ``dt`` exceeds half a light-crossing of
     the smallest cell, the stability margin of spectral RK4.
     """
-    E_hat, B_hat = _evolve_hat(state, dt, units, steps)
+    return _evolved_state(state, _evolve_hat(state, dt, units, steps), dt, steps)
+
+
+def _evolved_state(
+    state: EMState, spectra: tuple[np.ndarray, np.ndarray], dt: float, steps: int
+) -> EMState:
+    """``state`` advanced ``steps`` steps of ``dt``, given its evolved E and B
+    half spectra: the fields back on the grid, the clock and the sources moved on."""
     t = state.t
     for _ in range(steps):
         t += dt
     elapsed = t - state.t
     sources = [s.at_time(elapsed, box=state.grid.L) for s in state.sources]
+    E_hat, B_hat = spectra
     return EMState(t, state.grid, FieldVecPair(_to_grid(E_hat), _to_grid(B_hat)), sources)
 
 

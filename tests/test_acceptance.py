@@ -78,20 +78,24 @@ def write_sources(path, name, sources):
 
 
 def test_criterion_1_dual_rotation_algebra():
-    residuals = cli.rotation_property_residuals(count=10000, seed=2026, units=NAT)
-    assert len(residuals) == 12
-    worst = max(residuals.values())
-    assert worst <= 1e-12, residuals
-    # sensitivity: two rotations against one whose angle is off by 1e-6
-    rng = np.random.default_rng(1)
-    fp = FieldVecPair(rng.normal(size=(3, 100)), rng.normal(size=(3, 100)))
-    twice = rotate_fields(rotate_fields(fp, 0.7, NAT), 1.9, NAT)
-    direct = rotate_fields(fp, 0.7 + 1.9 + 1e-6, NAT)
-    floor = float(np.max(np.abs(np.concatenate([twice.E - direct.E, twice.B - direct.B])))
-                  / np.max(np.abs(np.concatenate([direct.E, direct.B]))))
-    assert floor > 1e-7
-    announce(1, "dual-rotation-algebra", f"12 properties x 10000 inputs, max {worst:.2e} <= 1e-12; "
-             f"angle off by 1e-6 {floor:.2e} > 1e-7")
+    worst, floor = 0.0, math.inf
+    for units in (NAT, UnitSystem(c=3.0, eps0=0.2)):
+        c = units.c
+        residuals = cli.rotation_property_residuals(count=10000, seed=2026, units=units)
+        assert len(residuals) == 12
+        assert max(residuals.values()) <= 1e-12, (units, residuals)
+        worst = max(worst, *residuals.values())
+        # sensitivity: two rotations against one whose angle is off by 1e-6
+        rng = np.random.default_rng(1)
+        fp = FieldVecPair(rng.normal(size=(3, 100)), rng.normal(size=(3, 100)) / c)
+        twice = rotate_fields(rotate_fields(fp, 0.7, units), 1.9, units)
+        direct = rotate_fields(fp, 0.7 + 1.9 + 1e-6, units)
+        off = float(np.max(np.abs(np.concatenate([twice.E - direct.E, c * (twice.B - direct.B)])))
+                    / np.max(np.abs(np.concatenate([direct.E, c * direct.B]))))
+        assert off > 1e-7, (units, off)
+        floor = min(floor, off)
+    announce(1, "dual-rotation-algebra", "12 properties x 10000 inputs, units c=1 eps0=1 and "
+             f"c=3 eps0=0.2, max {worst:.2e} <= 1e-12; angle off by 1e-6 {floor:.2e} > 1e-7")
 
 
 # natural units, and a system where c and eps0 are not 1, so that a misplaced

@@ -10,7 +10,20 @@ import numpy as np
 import pytest
 
 from dualfield import cli, maxwell
-from dualfield.dualcore import UnitSystem
+from dualfield.dualcore import (
+    ChargePair,
+    FieldVecPair,
+    PotentialPair,
+    UnitSystem,
+    asymmetrizing_angle,
+    charge_norm,
+    field_quadratic_form,
+    inverse_rotate_fields,
+    potential_quadratic_form,
+    rotate_charges,
+    rotate_fields,
+    rotate_potentials,
+)
 
 BASE = {
     "rotation": """
@@ -154,8 +167,8 @@ def test_covariance_writes_field_snapshots(tmp_path):
 
 @pytest.mark.parametrize("moving", [False, True])
 def test_dual_covariance_shares_one_reference_evolution(tmp_path, monkeypatch, moving):
-    # one reference and the snapshot, plus one evolution per angle for the
-    # residual and, with a moving charge, one per angle for the floor
+    # one reference, which the snapshot reuses, plus one evolution per angle
+    # for the residual and, with a moving charge, one per angle for the floor
     calls = []
 
     def counting(*args, **kwargs):
@@ -171,7 +184,7 @@ def test_dual_covariance_shares_one_reference_evolution(tmp_path, monkeypatch, m
                      "--override", f"rotation.thetas={' '.join(map(repr, thetas))}"])
     assert code == 0
     k = len(thetas)
-    assert len(calls) == (2 * k + 2 if moving else k + 2)
+    assert len(calls) == (2 * k + 1 if moving else k + 1)
 
 
 def test_every_scenario_passes_in_a_second_unit_system(tmp_path):
@@ -233,24 +246,121 @@ def test_noether_violating_config_clears_its_floor(tmp_path, seed):
     assert float(read_summary(out)["violating_charge_rel"]) >= 1e-3
 
 
-@pytest.mark.parametrize("count", [101, 2049])
+@pytest.mark.parametrize("count", [101, 2049, 10000])
 def test_rotation_sweep_covers_exactly_count_inputs(monkeypatch, count):
-    # count is not a multiple of the batch count (2 and 40 batches)
-    swept = {"fields": 0, "charges": 0}
-    inverse, angle = cli.inverse_rotate_fields, cli.asymmetrizing_angle
+    # count is not a multiple of the batch count (2 and 40 batches); 10000
+    # inputs make 200 batches of 50, more than one block
+    entries = {"fields": [], "charges": [], "potentials": []}
 
-    def counting_inverse(fields, theta, units):
-        swept["fields"] += fields.E.shape[1]
-        return inverse(fields, theta, units)
+    def counting(family, name, size):
+        kernel = getattr(cli, name)
 
-    def counting_angle(charges, units):
-        swept["charges"] += 1
-        return angle(charges, units)
+        def counted(first, *args):
+            entries[family].append(size(first))
+            return kernel(first, *args)
 
-    monkeypatch.setattr(cli, "inverse_rotate_fields", counting_inverse)
-    monkeypatch.setattr(cli, "asymmetrizing_angle", counting_angle)
+        monkeypatch.setattr(cli, name, counted)
+
+    counting("fields", "inverse_rotate_fields", lambda fields: fields.E.shape[-1])
+    counting("charges", "rotate_charge_components", np.size)
+    counting("potentials", "rotate_potentials", lambda potentials: potentials.A.shape[-1])
     cli.rotation_property_residuals(count, 0, UnitSystem.natural())
-    assert swept == {"fields": count, "charges": count}
+    # each input passes the inverse field map once, the charge kernel five
+    # times (once, twice, direct, back, asymmetrizing) and the potential map four
+    totals = {family: sum(sizes) for family, sizes in entries.items()}
+    assert totals == {"fields": count, "charges": 5 * count, "potentials": 4 * count}
+    if count == 10000:
+        block = cli._SWEEP_BLOCK * 50
+        assert max(max(sizes) for sizes in entries.values()) <= block
+
+
+def per_sample_residuals(count: int, seed: int, units: UnitSystem) -> dict:
+    """``cli.rotation_property_residuals`` as one call per batch and, for the
+    charges, per sample: the reference the block sweep must equal bitwise."""
+    rng = np.random.default_rng(seed)
+    batches = max(1, count // 50)
+    base, extra = divmod(count, batches)
+    worst: dict[str, float] = {}
+
+    def update(name: str, value: float) -> None:
+        worst[name] = max(worst.get(name, 0.0), float(value))
+
+    def rel(diff: np.ndarray, scale: np.ndarray) -> float:
+        return float(np.max(np.abs(diff)) / max(float(np.max(np.abs(scale))), 1e-30))
+
+    c = units.c
+    for batch in range(batches):
+        per_batch = base + (batch < extra)
+        t1 = rng.uniform(0.0, 2.0 * math.pi)
+        t2 = rng.uniform(0.0, 2.0 * math.pi)
+
+        fp = FieldVecPair(rng.normal(size=(3, per_batch)), rng.normal(size=(3, per_batch)) / c)
+        once = rotate_fields(fp, t1, units)
+        twice = rotate_fields(once, t2, units)
+        direct = rotate_fields(fp, t1 + t2, units)
+        scale = np.concatenate([direct.E, c * direct.B])
+        update("fields_group", rel(np.concatenate([twice.E - direct.E,
+                                                   c * (twice.B - direct.B)]), scale))
+        ident = rotate_fields(fp, 0.0, units)
+        update("fields_identity", rel(np.concatenate([ident.E - fp.E, c * (ident.B - fp.B)]),
+                                      np.concatenate([fp.E, c * fp.B])))
+        back = inverse_rotate_fields(once, t1, units)
+        update("fields_inverse", rel(np.concatenate([back.E - fp.E, c * (back.B - fp.B)]),
+                                     np.concatenate([fp.E, c * fp.B])))
+        q_before = field_quadratic_form(fp, units)
+        update("fields_invariant", abs(field_quadratic_form(once, units) - q_before)
+               / max(abs(q_before), 1e-30))
+        wrapped = rotate_fields(fp, t1 + 2.0 * math.pi, units)
+        update("fields_periodicity", rel(np.concatenate([wrapped.E - once.E,
+                                                         c * (wrapped.B - once.B)]), scale))
+
+        qe = rng.normal(size=per_batch)
+        qm = rng.normal(size=per_batch) / (c * units.eps0)
+        pair_scale = np.hypot(qe, c * units.eps0 * qm)
+        for sample in range(per_batch):
+            cp = ChargePair(qe[sample], qm[sample])
+            once_c = rotate_charges(cp, t1, units)
+            twice_c = rotate_charges(once_c, t2, units)
+            direct_c = rotate_charges(cp, t1 + t2, units)
+            s = max(pair_scale[sample], 1e-30)
+            update("charges_group", max(abs(twice_c.qe - direct_c.qe),
+                                        c * units.eps0 * abs(twice_c.qm - direct_c.qm)) / s)
+            back_c = rotate_charges(once_c, -t1, units)
+            update("charges_inverse", max(abs(back_c.qe - cp.qe),
+                                          c * units.eps0 * abs(back_c.qm - cp.qm)) / s)
+            update("charges_norm", abs(charge_norm(once_c, units) - charge_norm(cp, units)) / s)
+            if pair_scale[sample] > 0.0:
+                asym = rotate_charges(cp, asymmetrizing_angle(cp, units), units)
+                update("charges_asymmetrize",
+                       max(abs(asym.qe - pair_scale[sample]),
+                           c * units.eps0 * abs(asym.qm)) / s)
+
+        pp = PotentialPair(rng.normal(size=(4, per_batch)), c * rng.normal(size=(4, per_batch)))
+        once_p = rotate_potentials(pp, t1, units)
+        twice_p = rotate_potentials(once_p, t2, units)
+        direct_p = rotate_potentials(pp, t1 + t2, units)
+        p_scale = np.concatenate([c * direct_p.A, direct_p.C])
+        update("potentials_group", rel(np.concatenate([c * (twice_p.A - direct_p.A),
+                                                       twice_p.C - direct_p.C]), p_scale))
+        back_p = rotate_potentials(once_p, -t1, units)
+        update("potentials_inverse", rel(np.concatenate([c * (back_p.A - pp.A),
+                                                         back_p.C - pp.C]),
+                                         np.concatenate([c * pp.A, pp.C])))
+        q_before = potential_quadratic_form(pp, units)
+        update("potentials_invariant",
+               abs(potential_quadratic_form(once_p, units) - q_before)
+               / max(abs(q_before), 1e-30))
+    return worst
+
+
+@pytest.mark.parametrize(
+    "units", [UnitSystem.natural(), UnitSystem(c=3.0, eps0=0.2), UnitSystem.si()],
+    ids=["natural", "c3-eps0.2", "si"],
+)
+@pytest.mark.parametrize("count", [1, 101, 2049])
+def test_rotation_sweep_equals_the_per_sample_sweep_bitwise(count, units):
+    swept = cli.rotation_property_residuals(count, 5, units)
+    assert repr(swept) == repr(per_sample_residuals(count, 5, units))
 
 
 def test_override_flag_reaches_the_scenario(tmp_path):

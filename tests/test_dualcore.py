@@ -13,6 +13,8 @@ from dualfield.dualcore import (
     FieldVecPair,
     PotentialPair,
     UnitSystem,
+    _asymmetrizing_angle,
+    _charge_norm,
     asymmetrizing_angle,
     charge_norm,
     field_quadratic_form,
@@ -282,17 +284,40 @@ def test_asymmetrizing_angle_kills_magnetic_component(qe, qm):
     assert abs(out.qe - norm) / norm < 1e-12
 
 
+# normal, subnormal and zero components of both signs
+components = st.one_of(
+    coords,
+    st.floats(min_value=-1e-306, max_value=1e-306, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+)
+
+
 @settings(deadline=None)
 @given(st.data())
 def test_charge_component_arrays_match_scalar_path(data):
-    qe = np.array([data.draw(coords) for _ in range(4)])
-    qm = np.array([data.draw(coords) for _ in range(4)])
-    t = data.draw(angles)
-    qe_r, qm_r = rotate_charge_components(qe, qm, t, NAT)
+    units = data.draw(st.sampled_from([NAT, UnitSystem.si(), UnitSystem(c=3.0, eps0=0.2)]))
+    qe = np.array([data.draw(components) for _ in range(4)])
+    qm = np.array([data.draw(components) for _ in range(4)])
+    t = data.draw(st.one_of(angles, st.lists(angles, min_size=4, max_size=4).map(np.array)))
+    qe_r, qm_r = rotate_charge_components(qe, qm, t, units)
+    norms, thetas = _charge_norm(qe, qm, units), _asymmetrizing_angle(qe, qm, units)
     for i in range(4):
-        single = rotate_charges(ChargePair(qe[i], qm[i]), t, NAT)
-        assert qe_r[i] == pytest.approx(single.qe, rel=1e-14, abs=1e-14)
-        assert qm_r[i] == pytest.approx(single.qm, rel=1e-14, abs=1e-14)
+        cp = ChargePair(qe[i], qm[i])
+        single = rotate_charges(cp, t if np.ndim(t) == 0 else t[i], units)
+        assert same_bits(qe_r[i], single.qe) and same_bits(qm_r[i], single.qm)
+        assert same_bits(norms[i], charge_norm(cp, units))
+        if (qe[i], qm[i]) != (0.0, 0.0):
+            assert same_bits(thetas[i], asymmetrizing_angle(cp, units))
+
+
+def test_charge_norm_and_angle_keep_the_math_module_rounding():
+    # pairs of unit size are not rescaled; np.hypot and np.arctan2 differ in
+    # the last place on a share of them
+    rng = np.random.default_rng(3)
+    qe, qm = rng.uniform(1.0, 2.0, (2, 2000)) * rng.choice([-1.0, 1.0], (2, 2000))
+    assert same_bits(_charge_norm(qe, qm, NAT), [math.hypot(a, b) for a, b in zip(qe, qm)])
+    assert same_bits(_asymmetrizing_angle(qe, qm, NAT),
+                     [math.atan2(b, a) for a, b in zip(qe, qm)])
 
 
 @settings(deadline=None)
