@@ -46,6 +46,8 @@ from .fields import (
     Grid3,
     PointSource,
     VectorField,
+    _gradient_hat,
+    _to_grid,
     coulomb_field_from_density,
     deposit_sources,
     save_field,
@@ -72,13 +74,15 @@ from .modes import (
     ModeAmplitudeSet,
     ModeSet,
     _coulomb_pair_sum,
+    _noether_current,
+    _sector_potentials,
+    _spin_hat,
+    _synthesis_hat,
     coulomb_energy_real,
     coulomb_mode_set,
     free_evolve_modes,
     noether_dual_charge,
-    noether_dual_current,
     recommended_smearing,
-    spin_observable,
     symmetric_charge_energy,
     synthesize_potentials,
     two_field_energy,
@@ -471,6 +475,12 @@ def rotation_property_residuals(count: int, seed: int, units: UnitSystem) -> dic
 
 def run_rotation_properties(cfg: ScenarioConfig, outdir: Path) -> Checks:
     count = cfg.get_int("sweep", "count", 2000, at_least=1)
+    # the sweep draws magnetic charges of scale 1 / (c eps0), which its rotations
+    # enlarge by at most the sum of two draws: keep room for draws to 32 sigma
+    ce = cfg.units.c * cfg.units.eps0
+    if not math.isfinite(64.0 / ce):
+        raise ConfigError("[units] eps0 and [units] c: the sweep draws magnetic charges of "
+                          f"scale 1 / (c eps0), and 64 / (c eps0) must be finite, got {ce!r}")
     cfg.check_all_read()
     residuals = rotation_property_residuals(count, cfg.seed, cfg.units)
     checks = Checks()
@@ -492,6 +502,14 @@ def run_dual_covariance(cfg: ScenarioConfig, outdir: Path) -> Checks:
     if not all(math.isfinite(f * f) for f in scales):
         raise ConfigError("[units] eps0 and [source.N] qe or qm: the square of qe / eps0 or c qm "
                           f"overflows for a source, at eps0 {units.eps0!r} and c {units.c!r}")
+    # the angles rotate each charge pair to components of up to hypot(qe, c eps0 qm)
+    # and hypot(qe / (c eps0), qm)
+    ce = units.c * units.eps0
+    if not all(math.isfinite(math.hypot(s.charges.qe, ce * s.charges.qm)
+                             + math.hypot(s.charges.qe / ce, s.charges.qm)) for s in sources):
+        raise ConfigError("[units] eps0 and [source.N] qe or qm: a rotated charge component, "
+                          "hypot(qe, c eps0 qm) or hypot(qe / (c eps0), qm), overflows for a "
+                          f"source, at eps0 {units.eps0!r} and c {units.c!r}")
     dt = cfg.get_float("evolution", "dt", 0.005, above=0)
     steps = cfg.get_int("evolution", "steps", 100, at_least=1, at_most=MAX_STEPS)
     thetas = cfg.thetas()
@@ -550,6 +568,15 @@ def run_dual_covariance(cfg: ScenarioConfig, outdir: Path) -> Checks:
 def run_coulomb_equivalence(cfg: ScenarioConfig, outdir: Path) -> Checks:
     units = cfg.units
     sources, ms = cfg.lattice()
+    # the real-space sum rotates each source to its invariant charge hypot(qe, c eps0 qm)
+    sections = sorted(s for s in cfg.parser.sections() if s.startswith("source."))
+    norms = {name: math.hypot(s.charges.qe, units.c * units.eps0 * s.charges.qm)
+             for name, s in zip(sections, sources)}
+    first, second = sorted(norms, key=norms.get)[:-3:-1]
+    if not math.isfinite(norms[first] * norms[second]):
+        raise ConfigError(f"[{first}] qe and qm, [{second}] qe and qm and [units] eps0: the "
+                          "product of their invariant charges hypot(qe, c eps0 qm) overflows, "
+                          f"got {norms[first]!r} and {norms[second]!r}")
     reference = next((s for s in sources if charge_norm(s.charges, units) > 0.0), None)
     if reference is None:
         raise ConfigError("all sources have zero charge")
@@ -607,10 +634,14 @@ def run_noether_zero(cfg: ScenarioConfig, outdir: Path) -> Checks:
     for _ in range(count):
         theta = rng.uniform(0.0, 2.0 * math.pi)
         a = rng.normal(size=(ms.n_modes, 4)) + 1j * rng.normal(size=(ms.n_modes, 4))
-        pp, dpp = synthesize_potentials(ModeAmplitudeSet(ms, a), theta, grid, units)
+        # the grid potentials and their gradients from one synthesis spectrum
+        X_hat = _synthesis_hat(ModeAmplitudeSet(ms, a), grid, units)
+        A, C = _sector_potentials(_to_grid(X_hat), theta, units)
+        gradA, gradC = _sector_potentials(_to_grid(_gradient_hat(X_hat[:4], grid)), theta, units)
+        pp, dpp = PotentialPair(A[:4], C[:4]), PotentialPair(A[4:], C[4:])
         value, scale = noether_dual_charge(pp, dpp, grid, units)
         worst_charge = max(worst_charge, abs(value) / scale)
-        f, f_scale = noether_dual_current(pp, dpp, grid, units)
+        f, f_scale = _noether_current(gradA, gradC, pp, dpp, units)
         worst_current = max(worst_current, float(np.max(np.abs(f)) / np.max(f_scale)))
 
     # a deliberately broken pairing: C from amplitudes 1j * eta * a (eta the
@@ -651,7 +682,9 @@ def run_helicity_conservation(cfg: ScenarioConfig, outdir: Path) -> Checks:
     spins = []
     for t in times:
         evolved = free_evolve_modes(amp, float(t), units)
-        S = spin_observable(*synthesize_potentials(evolved, theta, grid, units), grid, units)
+        # the spin straight from the synthesis spectrum, which never goes to the grid
+        A, C = _sector_potentials(_synthesis_hat(evolved, grid, units), theta, units)
+        S = _spin_hat(A[1:4], C[1:4], A[5:], C[5:], grid, units)
         spins.append(S)
         helicities.append(float(np.linalg.norm(S)))
     helicities = np.asarray(helicities)

@@ -225,10 +225,14 @@ def rotate_charge_components(qe, qm, theta, units: UnitSystem):
     Densities and currents transform with the same coefficients.  ``theta``
     is one angle or an array of one angle per input.  Each pair is computed
     scaled to unit size (``_unit_scaled``), so the result is exact to the
-    last place down to subnormal pairs.
+    last place down to subnormal pairs.  A component that overflows raises
+    ``ValueError`` naming it.
     """
     qe, qm, e = _unit_scaled(qe, qm, units)
-    qe, qm = _rotate(qe, qm, theta, units.c * units.eps0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        qe, qm = _rotate(qe, qm, theta, units.c * units.eps0)
+    _require_finite("qe", qe)
+    _require_finite("qm", qm)
     return np.ldexp(qe, e), np.ldexp(qm, e)
 
 
@@ -256,8 +260,7 @@ def rotate_charges(charges: ChargePair, theta: float, units: UnitSystem) -> Char
     Exact to the last place down to subnormal pairs (see the module
     docstring).  A component that overflows raises ``ValueError``.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # ChargePair rejects the inf or nan
-        qe, qm = rotate_charge_components(charges.qe, charges.qm, theta, units)
+    qe, qm = rotate_charge_components(charges.qe, charges.qm, theta, units)
     return ChargePair(qe=qe, qm=qm)
 
 

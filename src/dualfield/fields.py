@@ -314,9 +314,14 @@ def deposit_sources(
     )
 
 
+def _gradient_hat(hat: np.ndarray, grid: Grid3) -> np.ndarray:
+    """Spectrum of the gradient, i k hat: (..., nx, ny, nz') in, (..., 3, nx, ny, nz') out."""
+    return 1j * _kgrid(grid) * hat[..., None, :, :, :]
+
+
 def spectral_gradient(data: np.ndarray, grid: Grid3) -> np.ndarray:
     """Gradient of real scalar grid arrays: (..., nx, ny, nz) in, (..., 3, nx, ny, nz) out."""
-    return _to_grid(1j * _kgrid(grid) * _to_spectrum(data)[..., None, :, :, :])
+    return _to_grid(_gradient_hat(_to_spectrum(data), grid))
 
 
 def spectral_divergence(data: np.ndarray, grid: Grid3) -> np.ndarray:

@@ -20,9 +20,30 @@ noether-zero violating configuration, A of one synthesis with C = c A of another
 Charge pair energies contract ``q_i = (qe_i, c eps0 qm_i)`` with a 2x2 sector
 matrix, ``u u^T`` for the one family and 1 for the two-field model, whose
 electric-magnetic cross term is that contraction's off-diagonal block.
-The spin of synthesized potentials is diagonal in k, so ``spin_observable``
-stays on the half spectrum: one forward transform, algebraic curls and
-transverse projection, and a Parseval sum in place of the grid integral.
+
+Synthesis and the mode observables
+----------------------------------
+``_synthesis_hat`` is the one synthesis: it scatters every mode and its
+conjugate partner straight onto the half spectrum (kz >= 0) of ``X^mu`` and
+``dX^mu/dt``, and ``_sector_potentials`` applies the weights ``(cos, c sin)``
+to it on the grid or on the spectrum alike.  As with ``maxwell._evolve_hat``
+and ``step_symmetric_maxwell``, each observable is a spectral core with a
+public grid function that adds the transforms:
+
+- ``synthesize_potentials``: one inverse transform of the 8 components.
+- ``spin_observable``: one forward transform of the spatial A, C, dA/dt and
+  dC/dt, then ``_spin_hat``, which stays on the half spectrum (algebraic
+  curls and transverse projection, and a Parseval sum in place of the grid
+  integral), since the spin is diagonal in k.
+- ``noether_dual_current``: ``spectral_gradient`` of A and of C (a forward
+  and an inverse transform each), then ``_noether_current`` on the
+  gradients.
+
+The noether-zero and helicity-conservation scenarios call the cores on the
+synthesis spectrum, so nothing returns to the spectrum once on the grid: a
+noether-zero configuration makes two inverse transforms (the potentials,
+and ``i k X`` for the gradients of both A and C) and no forward one, and a
+helicity sample none.
 
 Coulomb energy quadrature
 -------------------------
@@ -468,6 +489,42 @@ def _grid_bins(ms: ModeSet, grid: Grid3) -> np.ndarray:
     return bins
 
 
+def _synthesis_hat(amp: ModeAmplitudeSet, grid: Grid3, units: UnitSystem) -> np.ndarray:
+    """Half spectra of X^mu and dX^mu/dt, shape (8, nx, ny, nz // 2 + 1).
+
+    X^mu = sum_k N_k [sum_lambda a eps^mu exp(ik.x) + c.c.] at t = 0, rows
+    X^0..X^3 then dX^0/dt..dX^3/dt.  Every mode and its conjugate partner are
+    scattered in one call each, keeping only the bins with kz >= 0; the
+    ModeSet box volume must match the grid.
+    """
+    ms = amp.modes
+    if ms.is_lattice:
+        raise ValueError("synthesis needs an explicit ModeSet")
+    if not math.isclose(ms.box_volume, grid.volume, rel_tol=1e-9):
+        raise ValueError(f"mode lattice represents volume {ms.box_volume}, grid has {grid.volume}")
+    bins = _grid_bins(ms, grid)
+    partners = -bins % np.asarray(grid.n)
+    omega = ms.omega(units)
+    N_k = np.sqrt(1.0 / (2.0 * units.eps0 * omega * ms.box_volume))
+    n_cells = grid.n[0] * grid.n[1] * grid.n[2]
+    coeff = np.einsum("ml,mlu->mu", amp.a, _polarization_four_vectors(ms)) * N_k[:, None]
+    rows = np.concatenate([coeff.T, (-1j * omega) * coeff.T])
+    half = grid.n[2] // 2
+    S = np.zeros((8,) + grid.shape[:2] + (half + 1,), dtype=complex)
+    keep = bins[:, 2] <= half
+    np.add.at(S, (slice(None), *bins[keep].T), n_cells * rows[:, keep])
+    keep = partners[:, 2] <= half
+    np.add.at(S, (slice(None), *partners[keep].T), n_cells * np.conj(rows[:, keep]))
+    return S
+
+
+def _sector_potentials(X: np.ndarray, theta, units: UnitSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The one family's potentials (A, C) = (cos(theta) X, c sin(theta) X), on
+    grid samples or half spectra alike."""
+    wa, wc = _sector_weights(theta)
+    return wa * X, units.c * wc * X
+
+
 def synthesize_potentials(
     amp: ModeAmplitudeSet,
     theta,
@@ -476,29 +533,11 @@ def synthesize_potentials(
 ) -> tuple[PotentialPair, PotentialPair]:
     """Real-space potential pair and its time derivative at t = 0.
 
-    A^mu = cos(theta) X^mu and C^mu = c sin(theta) X^mu with
-    X^mu = sum_k N_k [sum_lambda a eps^mu exp(ik.x) + c.c.], so the
-    subsidiary condition holds identically.  The ModeSet box volume must
-    match the synthesis grid.
+    A^mu = cos(theta) X^mu and C^mu = c sin(theta) X^mu with X^mu the
+    transform of ``_synthesis_hat``, so the subsidiary condition holds
+    identically.  The ModeSet box volume must match the synthesis grid.
     """
-    ms = amp.modes
-    if ms.is_lattice:
-        raise ValueError("synthesis needs an explicit ModeSet")
-    if not math.isclose(ms.box_volume, grid.volume, rel_tol=1e-9):
-        raise ValueError(f"mode lattice represents volume {ms.box_volume}, grid has {grid.volume}")
-    wa, wc = _sector_weights(theta)
-    bins = _grid_bins(ms, grid)
-    omega = ms.omega(units)
-    N_k = np.sqrt(1.0 / (2.0 * units.eps0 * omega * ms.box_volume))
-    n_cells = grid.n[0] * grid.n[1] * grid.n[2]
-    coeff = np.einsum("ml,mlu->mu", amp.a, _polarization_four_vectors(ms)) * N_k[:, None]
-    # rows: X^mu, then dX^mu/dt; every mode and its conjugate partner in one call each
-    rows = np.concatenate([coeff.T, (-1j * omega) * coeff.T])
-    S = np.zeros((8,) + grid.shape, dtype=complex)
-    np.add.at(S, (slice(None), *bins.T), n_cells * rows)
-    np.add.at(S, (slice(None), *(-bins % np.asarray(grid.n)).T), n_cells * np.conj(rows))
-    X = _to_grid(S[..., : grid.n[2] // 2 + 1])
-    A, C = wa * X, units.c * wc * X
+    A, C = _sector_potentials(_to_grid(_synthesis_hat(amp, grid, units)), theta, units)
     return PotentialPair(A[:4], C[:4]), PotentialPair(A[4:], C[4:])
 
 
@@ -560,9 +599,16 @@ def noether_dual_current(
     products.  Under the subsidiary condition f vanishes pointwise because
     c^2 eps0 = 1/mu0.
     """
-    c = units.c
     gradA = spectral_gradient(potentials.A, grid)  # (nu, axis, ...)
     gradC = spectral_gradient(potentials.C, grid)
+    return _noether_current(gradA, gradC, potentials, dpotentials_dt, units)
+
+
+def _noether_current(gradA: np.ndarray, gradC: np.ndarray, potentials: PotentialPair,
+                     dpotentials_dt: PotentialPair, units: UnitSystem):
+    """``noether_dual_current`` from the spatial gradients d_i A^nu and d_i C^nu,
+    each of shape (4, 3, nx, ny, nz)."""
+    c = units.c
     parts = [_dual_density(dpotentials_dt.A / c, dpotentials_dt.C / c, potentials, units)]
     parts += [_dual_density(gradA[:, axis], gradC[:, axis], potentials, units) for axis in range(3)]
     return np.stack([f for f, _ in parts]), np.stack([scale for _, scale in parts])
@@ -576,20 +622,28 @@ def spin_observable(
 ) -> np.ndarray:
     """Field spin eps0 * integral(E_T x A_T + B_T x C_T); helicity is |S|.
 
-    One transform of the spatial A, C, dA/dt and dC/dt gives E = -(dA/dt +
-    curl C) and B = curl A - (dC/dt) / c^2 up to gradients, which
-    ``_transverse_hat`` drops with the longitudinal and gauge parts of A and
-    C, so A0 and C0 never enter.  The integral is the half-spectrum Parseval
-    sum of the ``fields`` spectral convention; nothing returns to the grid.
+    One transform of the spatial A, C, dA/dt and dC/dt, then ``_spin_hat`` on
+    their half spectra; nothing returns to the grid.
     """
     expected = (4,) + grid.shape
     for name, arr in (("potentials", potentials.A), ("dpotentials_dt", dpotentials_dt.A)):
         if arr.shape != expected:
             raise ValueError(f"{name} shape {arr.shape} does not match grid {expected}")
+    return _spin_hat(*_to_spectrum(np.stack([potentials.A[1:], potentials.C[1:],
+                                             dpotentials_dt.A[1:], dpotentials_dt.C[1:]])),
+                     grid, units)
+
+
+def _spin_hat(A: np.ndarray, C: np.ndarray, dA: np.ndarray, dC: np.ndarray, grid: Grid3,
+              units: UnitSystem) -> np.ndarray:
+    """``spin_observable`` from the half spectra of the spatial A, C, dA/dt and dC/dt.
+
+    E = -(dA/dt + curl C) and B = curl A - (dC/dt) / c^2 up to gradients,
+    which ``_transverse_hat`` drops with the longitudinal and gauge parts of A
+    and C, so A0 and C0 never enter.  The integral is the half-spectrum
+    Parseval sum of the ``fields`` spectral convention.
+    """
     k = _kgrid(grid)
-    A, C, dA, dC = _to_spectrum(
-        np.stack([potentials.A[1:], potentials.C[1:], dpotentials_dt.A[1:], dpotentials_dt.C[1:]])
-    )
     E = -(dA + _curl_hat(k, C))
     B = _curl_hat(k, A) - dC / units.c**2
     E_T, B_T, A_T, C_T = _transverse_hat(np.stack([E, B, A, C]), grid)

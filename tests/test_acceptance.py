@@ -125,16 +125,19 @@ def test_criterion_2_representation_equivalence(tmp_path):
 
 
 def test_criterion_3_noether_triviality(tmp_path):
-    summary = scenario(CONFIGS / "noether-zero.ini", tmp_path)
-    assert summary["config_count"] == "50"
-    charge = float(summary["noether_charge_rel"])
-    current = float(summary["noether_current_rel"])
-    violating = float(summary["violating_charge_rel"])
-    assert charge < 1e-13 and current < 1e-13
-    assert violating > 1e-3
+    charge = current = 0.0
+    violating = math.inf
+    for system, overrides in UNIT_SYSTEMS.items():
+        summary = scenario(CONFIGS / "noether-zero.ini", tmp_path / system, *overrides)
+        assert summary["config_count"] == "50"
+        charge = max(charge, float(summary["noether_charge_rel"]))
+        current = max(current, float(summary["noether_current_rel"]))
+        violating = min(violating, float(summary["violating_charge_rel"]))
+        assert charge < 1e-13 and current < 1e-13, (system, summary)
+        assert violating > 1e-3, (system, summary)
     announce(3, "noether-triviality",
-             f"50 configs: charge {charge:.2e}, current {current:.2e} < 1e-13; "
-             f"violating config {violating:.2e} > 1e-3")
+             f"50 configs, units {' and '.join(UNIT_SYSTEMS)}: charge {charge:.2e}, "
+             f"current {current:.2e} < 1e-13; violating config {violating:.2e} > 1e-3")
 
 
 def _random_shared_ratio_sources(rng, n_sources, ratio_angle):
@@ -279,12 +282,15 @@ def test_criterion_7_helicity_and_spin(tmp_path):
     assert worst_rotation < 1e-12
     assert rotation_floor > 1e-2
 
-    drift = float(scenario(CONFIGS / "helicity-conservation.ini", tmp_path)["helicity_drift"])
-    assert drift < 1e-13
+    drift = 0.0
+    for system, overrides in UNIT_SYSTEMS.items():
+        summary = scenario(CONFIGS / "helicity-conservation.ini", tmp_path / system, *overrides)
+        drift = max(drift, float(summary["helicity_drift"]))
+        assert drift < 1e-13, (system, summary)
     announce(7, "helicity-and-spin",
              f"signs +/-{w**2:.2f} exact, linear zero, rotation invariance "
              f"{worst_rotation:.1e} <= 1e-12 (A rotated without C {rotation_floor:.2e} > 1e-2), "
-             f"free-evolution drift {drift:.1e} < 1e-13")
+             f"free-evolution drift {drift:.1e} < 1e-13 in units {' and '.join(UNIT_SYSTEMS)}")
 
 
 def test_criterion_8_force_models():

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dualfield import cli, maxwell
+from dualfield import cli, fields, maxwell, modes
 from dualfield.dualcore import (
     ChargePair,
     FieldVecPair,
@@ -24,6 +24,7 @@ from dualfield.dualcore import (
     rotate_fields,
     rotate_potentials,
 )
+from dualfield.modes import noether_dual_current, spin_observable, synthesize_potentials
 
 BASE = {
     "rotation": """
@@ -185,6 +186,76 @@ def test_dual_covariance_shares_one_reference_evolution(tmp_path, monkeypatch, m
     assert code == 0
     k = len(thetas)
     assert len(calls) == (2 * k + 1 if moving else k + 1)
+
+
+def run_mode_scenario(tmp_path, key, *overrides):
+    flags = [arg for item in overrides for arg in ("--override", item)]
+    assert cli.main(["run", write_cfg(tmp_path, BASE[key]), "--out", str(tmp_path / key)]
+                    + flags) == 0
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_mode_scenarios_never_transform_a_synthesis_back(tmp_path, monkeypatch, count):
+    # noether-zero takes each config's potentials (one inverse transform) and
+    # their gradients (one more) from one synthesis spectrum, and synthesizes
+    # the violating pair on the grid (two); helicity-conservation reads each
+    # sample's spin from the synthesis spectrum itself
+    calls = {"_to_grid": 0, "_to_spectrum": 0}
+
+    def counting(name, transform):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return transform(*args, **kwargs)
+        return wrapper
+
+    for module in (fields, modes, cli):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    run_mode_scenario(tmp_path, "noether", f"sweep.count={count}")
+    assert calls == {"_to_grid": 2 * count + 2, "_to_spectrum": 0}
+    calls.update(dict.fromkeys(calls, 0))
+    run_mode_scenario(tmp_path, "helicity", f"evolution.samples={count + 1}")
+    assert calls == {"_to_grid": 0, "_to_spectrum": 0}
+
+
+@pytest.mark.parametrize("units", [(), ("units.c=3", "units.eps0=0.2")],
+                         ids=["natural", "c3-eps0.2"])
+def test_mode_scenarios_agree_with_the_grid_route(tmp_path, monkeypatch, units):
+    # each spectral current and spin of a scenario against the public grid
+    # functions on the same potentials or amplitudes
+    syntheses, currents, spins = [], [], []
+    synthesis, current, spin = cli._synthesis_hat, cli._noether_current, cli._spin_hat
+
+    def record_synthesis(amp, grid, units):
+        syntheses.append((amp, grid, units))
+        return synthesis(amp, grid, units)
+
+    def record_current(gradA, gradC, pp, dpp, units):
+        currents.append((pp, dpp, current(gradA, gradC, pp, dpp, units)))
+        return currents[-1][-1]
+
+    def record_spin(*args):
+        spins.append(spin(*args))
+        return spins[-1]
+
+    monkeypatch.setattr(cli, "_synthesis_hat", record_synthesis)
+    monkeypatch.setattr(cli, "_noether_current", record_current)
+    monkeypatch.setattr(cli, "_spin_hat", record_spin)
+    run_mode_scenario(tmp_path, "noether", *units)
+    assert len(currents) == 2
+    _, grid, system = syntheses[0]
+    for pp, dpp, (f, f_scale) in currents:
+        ref, ref_scale = noether_dual_current(pp, dpp, grid, system)
+        assert np.max(np.abs(f - ref)) <= 1e-13 * np.max(ref_scale)
+        assert np.max(np.abs(f_scale - ref_scale)) <= 1e-13 * np.max(ref_scale)
+    syntheses.clear()
+    theta = 0.9
+    run_mode_scenario(tmp_path, "helicity", f"rotation.theta={theta}", *units)
+    assert len(syntheses) == len(spins) == 3
+    for (amp, grid, system), S in zip(syntheses, spins):
+        ref = spin_observable(*synthesize_potentials(amp, theta, grid, system), grid, system)
+        assert np.max(np.abs(S - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_every_scenario_passes_in_a_second_unit_system(tmp_path):
@@ -484,6 +555,8 @@ def test_two_field_cross_judges_small_energies_by_their_ratio(tmp_path):
         ("cross", "modes.kmax_sigma=1e18", 1),
         ("cross", "source.1.sigma=1e-300", 1),
         ("coulomb", "--override modes.dk_r=5e-324 --override source.2.position=3", 1),
+        ("coulomb", "--override source.1.qe=1.7e308 --override source.1.qm=0.85e308", 1),
+        ("covariance", "--override units.eps0=1e200 --override source.1.qm=1e150", 1),
         ("flyby", "--override evolution.dt=1e110 --override evolution.steps=2", 3),
         ("flyby", "particle.position=1e-110 0 0", 1),
         ("flyby", "particle.position=1e-7 0 0", 1),
@@ -503,6 +576,7 @@ def test_two_field_cross_judges_small_energies_by_their_ratio(tmp_path):
         ("covariance", "units.c=1e-300", 1),
         ("noether", "units.c=1e-300", 1),
         ("rotation", "units.eps0=1e-320", 1),
+        ("rotation", "--override units.eps0=2.3e-308 --seed 12", 1),
         ("covariance", "--override grid.L=1e-200 --override grid.n=8 "
                        "--override evolution.steps=1 --override evolution.dt=1e-210", 1),
         ("covariance", "--override grid.L=1e200 --override grid.n=8 "

@@ -1,6 +1,7 @@
 """Rotation algebra: hand-checked examples plus property-based sweeps."""
 
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -118,6 +119,25 @@ def test_charge_rotation_overflow_raises_non_finite_input():
     # qm' = -qe / (c eps0) exceeds the float range in SI units
     with pytest.raises(ValueError, match="non-finite values"):
         rotate_charges(ChargePair(1e308, 0.0), math.pi / 2, UnitSystem.si())
+
+
+@pytest.mark.parametrize(
+    "qe, qm, theta, units, component",
+    [
+        (1e308, 0.0, math.pi / 2, UnitSystem.si(), "qm"),
+        (np.array([1.0, 1e308]), np.array([0.0, 0.0]), math.pi / 2, UnitSystem.si(), "qm"),
+        (np.array([1.7e308]), np.array([1.7e308]), math.pi / 4, NAT, "qe"),
+        (np.array([1.7e308, 1.0]), np.array([1.7e308, 1.0]), np.array([-math.pi / 4, 0.5]), NAT,
+         "qm"),
+    ],
+    ids=["scalar", "array", "sum", "angle-array"],
+)
+def test_charge_component_overflow_raises_naming_the_component(qe, qm, theta, units, component):
+    # finite inputs whose rotation leaves the float range: no inf, nan or warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"component '{component}'"):
+            rotate_charge_components(qe, qm, theta, units)
 
 
 @pytest.mark.parametrize(

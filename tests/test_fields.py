@@ -456,11 +456,13 @@ def test_mode_observables_are_written_once():
     for path in sorted(package.glob("*.py")):
         projector.update(_callers(path, {"_transverse_hat"}))
     assert projector == {"helmholtz_decompose": ["_transverse_hat"],
-                         "spin_observable": ["_transverse_hat"]}
-    spin = next(stmt for stmt in ast.parse(modes_source.read_text()).body
-                if getattr(stmt, "name", None) == "spin_observable")
-    transforms = [_called(n.func) for n in ast.walk(spin) if isinstance(n, ast.Call)]
-    assert (transforms.count("_to_spectrum"), transforms.count("_to_grid")) == (1, 0)
+                         "_spin_hat": ["_transverse_hat"]}
+    # the grid form transforms once; the spectral core, which the scenario calls, never
+    for name, expected in (("spin_observable", (1, 0)), ("_spin_hat", (0, 0))):
+        spin = next(stmt for stmt in ast.parse(modes_source.read_text()).body
+                    if getattr(stmt, "name", None) == name)
+        transforms = [_called(n.func) for n in ast.walk(spin) if isinstance(n, ast.Call)]
+        assert (transforms.count("_to_spectrum"), transforms.count("_to_grid")) == expected, name
     add_at = [
         n for n in ast.walk(ast.parse(modes_source.read_text()))
         if isinstance(n, ast.Call) and ast.unparse(n.func) == "np.add.at"
@@ -473,6 +475,7 @@ SCENARIO_INTERNALS = {
     "random_wave_fields", "deposit_sources", "step_symmetric_maxwell", "dual_covariance_residual",
     "noether_dual_charge", "noether_dual_current", "symmetric_charge_energy", "two_field_energy",
     "coulomb_mode_set", "push_particle", "free_evolve_modes", "_covariance_defect",
+    "_noether_current",
 }
 
 
@@ -543,6 +546,8 @@ NO_CALLER_ALLOWED = {
     "fields.helmholtz_decompose": "the benchmark's scenarios warm-up splits a 16^3 field with it",
     "maxwell.dual_covariance_residual": "the benchmark's evolve verdicts time it; tier-1 pins it",
     "maxwell.step_symmetric_maxwell": "the benchmark's evolve warm-up calls it; tier-1 pins it",
+    "modes.noether_dual_current": "the grid form of the current for arbitrary potentials; "
+                                  "tier-1 pins the scenario route against it",
 }
 
 

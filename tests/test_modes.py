@@ -34,6 +34,7 @@ from dualfield.modes import (
     synthesize_potentials,
     two_field_energy,
 )
+from test_dualcore import same_bits
 
 NAT = UnitSystem.natural()
 TWO_PI = 2.0 * math.pi
@@ -424,6 +425,39 @@ def test_synthesis_angle_splits_the_two_potentials():
     np.testing.assert_allclose(pp.C, math.sin(theta) * pp0.A, atol=1e-14)
     quarter, _ = synthesize_potentials(amp, math.pi / 2, grid, NAT)
     assert np.max(np.abs(quarter.A)) < 1e-15
+
+
+def full_spectrum_synthesis(amp, grid, units):
+    """X^mu and dX^mu/dt on the full spectrum, each mode and each conjugate
+    partner scattered in one call: the reference for ``_synthesis_hat``."""
+    ms = amp.modes
+    bins = modes._grid_bins(ms, grid)
+    omega = ms.omega(units)
+    N_k = np.sqrt(1.0 / (2.0 * units.eps0 * omega * ms.box_volume))
+    n_cells = grid.n[0] * grid.n[1] * grid.n[2]
+    coeff = np.einsum("ml,mlu->mu", amp.a, modes._polarization_four_vectors(ms)) * N_k[:, None]
+    rows = np.concatenate([coeff.T, (-1j * omega) * coeff.T])
+    S = np.zeros((8,) + grid.shape, dtype=complex)
+    np.add.at(S, (slice(None), *bins.T), n_cells * rows)
+    np.add.at(S, (slice(None), *(-bins % np.asarray(grid.n)).T), n_cells * np.conj(rows))
+    return S
+
+
+@pytest.mark.parametrize("units", [NAT, UnitSystem(3.0, 0.2)], ids=["natural", "c3-eps0.2"])
+@pytest.mark.parametrize("case", ["from_grid", "12x16x20", "repeated"])
+def test_synthesis_spectrum_is_the_half_of_the_full_scatter(case, units):
+    if case == "repeated":  # one of a pair, a repeated mode, a mode on the kz = 0 plane
+        grid = cube(8)
+        ms = ModeSet.from_kvecs(np.array([[1.0, 0, 0], [0, -2, 1], [0, -2, 1], [-1, 3, 0]]), 1.0)
+    else:
+        grid = cube(16) if case == "from_grid" else Grid3((12, 16, 20), (5.0, 6.0, 7.0))
+        ms = ModeSet.from_grid(grid, kmax=3.5)
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(ms.n_modes, 4)) + 1j * rng.normal(size=(ms.n_modes, 4))
+    amp = ModeAmplitudeSet(ms, a)
+    hat = modes._synthesis_hat(amp, grid, units)
+    ref = full_spectrum_synthesis(amp, grid, units)[..., : grid.n[2] // 2 + 1]
+    assert same_bits(hat.real, ref.real) and same_bits(hat.imag, ref.imag)
 
 
 def zero_amp(ms):
