@@ -743,8 +743,8 @@ def run_monopole_flyby(cfg: ScenarioConfig, outdir: Path) -> Checks:
     ratios = {}
     for model in ("classical", "quantum"):
         trajectory = push_particle(particle, sampler, model, dt, steps, units)
-        trajectory.to_csv(outdir / f"trajectory_{model}.csv", plane_normal=normal)
         disp, _ = out_of_plane_component(trajectory, normal)
+        trajectory.to_npy(outdir / f"trajectory_{model}.npy", disp)
         span = in_plane_span(trajectory, normal)
         # a run stopped before its first step spans nothing, and a span that
         # overflows measures nothing: the ratio is undefined

@@ -243,9 +243,13 @@ _atan2 = np.frompyfunc(math.atan2, 2, 1)
 
 
 def _charge_norm(qe, qm, units: UnitSystem):
-    """``charge_norm`` of each (qe, qm) entry."""
+    """``charge_norm`` of each (qe, qm) entry; a norm that overflows raises
+    ``ValueError``."""
     qe, qm, e = _unit_scaled(qe, qm, units)
-    return np.ldexp(np.asarray(_hypot(qe, units.c * units.eps0 * qm), dtype=float), e)
+    with np.errstate(over="ignore"):  # an overflow is raised below
+        norm = np.ldexp(np.asarray(_hypot(qe, units.c * units.eps0 * qm), dtype=float), e)
+    _require_finite("charge_norm", norm)
+    return norm
 
 
 def _asymmetrizing_angle(qe, qm, units: UnitSystem):
@@ -275,7 +279,8 @@ def charge_norm(charges: ChargePair, units: UnitSystem) -> float:
 
     Computed on the pair scaled to unit size and rounded once, so it is
     exact to the last place for subnormal pairs too and agrees with
-    ``rotate_charges`` at ``asymmetrizing_angle``.
+    ``rotate_charges`` at ``asymmetrizing_angle``.  A norm that overflows
+    raises ``ValueError``.
     """
     return float(_charge_norm(charges.qe, charges.qm, units))
 

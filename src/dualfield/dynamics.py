@@ -17,9 +17,15 @@ numpy's order of operations per component (the cross product as
 arrays are built once, at the end.  ``quantum_lorentz_force`` and
 ``classical_lorentz_force`` are array wrappers over the same kernel.
 
-Samplers provide both the full and the transverse field sample at a point:
-``sample(x, t)`` takes a float triple and returns ``(E, B), (E_T, B_T)`` as
-float triples; each is an analytic field that declares the split exactly.
+``Trajectory.to_npy`` writes a path as one binary ``.npy`` table of named
+little-endian float64 fields, so every value is stored exactly and
+``np.load(path)["x"]`` reads a column back.
+
+A sampler (``MonopoleSampler``, or any object with its two methods) gives
+both the full and the transverse field sample at a point: ``sample(x, t)``
+takes a float triple and returns ``(E, B), (E_T, B_T)`` as float triples;
+``in_domain(x)`` bounds where the field is defined.  Each is an analytic
+field that declares the split exactly.
 The pusher is nonrelativistic, so particle speeds are guarded at a tenth of
 c; the guard and the sampler domains compare squared norms.
 """
@@ -105,24 +111,6 @@ def classical_lorentz_force(
     return quantum_lorentz_force(velocity, charges, fields, fields, units)
 
 
-class UniformFieldSampler:
-    """Spatially uniform fields, declared fully transverse.
-
-    A uniform field is a k = 0 mode, which the grid decomposition assigns to
-    the longitudinal part; the sampler instead models a locally uniform
-    transverse wave, so its transverse parts are the full fields.
-    """
-
-    def __init__(self, E: np.ndarray, B: np.ndarray) -> None:
-        self._full = (_floats(E), _floats(B))
-
-    def sample(self, x, t: float):
-        return self._full, self._full
-
-    def in_domain(self, x) -> bool:
-        return True
-
-
 class MonopoleSampler:
     """Static point magnetic charge: a radial B field.
 
@@ -149,6 +137,12 @@ class MonopoleSampler:
         return d0 * d0 + d1 * d1 + d2 * d2 > self.r_min * self.r_min
 
 
+# the .npy record of one trajectory node; out_of_plane_displacement is the
+# signed distance from the initial orbit plane
+_TABLE = np.dtype([(name, "<f8") for name in (
+    "t", "x", "y", "z", "vx", "vy", "vz", "Fx", "Fy", "Fz", "out_of_plane_displacement")])
+
+
 @dataclass
 class Trajectory:
     """Recorded particle path: times, states and node forces.
@@ -166,14 +160,10 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.t)
 
-    def to_csv(self, path, plane_normal: np.ndarray) -> None:
-        """Write t,x,y,z,vx,vy,vz,Fx,Fy,Fz,out_of_plane_displacement rows."""
-        out_of_plane, _ = out_of_plane_component(self, plane_normal)
-        rows = np.column_stack([self.t, self.x, self.v, self.force, out_of_plane]).tolist()
-        with open(path, "w") as fh:
-            fh.write("t,x,y,z,vx,vy,vz,Fx,Fy,Fz,out_of_plane_displacement\n")
-            for row in rows:
-                fh.write(",".join(map(repr, row)) + "\n")
+    def to_npy(self, path, out_of_plane: np.ndarray) -> None:
+        """Write one ``.npy`` row per node, the ``_TABLE`` fields in order."""
+        table = np.column_stack([self.t, self.x, self.v, self.force, out_of_plane])
+        np.save(path, table.astype("<f8", copy=False).view(_TABLE).reshape(len(table)))
 
 
 _FORCE_MODELS = ("classical", "quantum")

@@ -228,7 +228,7 @@ def test_criterion_6_out_of_plane_discriminator(tmp_path):
     classical = float(summary["classical_out_of_plane_ratio"])
     quantum = float(summary["quantum_out_of_plane_ratio"])
     sampler, particle, normal = flyby_setup()
-    t = np.loadtxt(tmp_path / "trajectory_classical.csv", delimiter=",", skiprows=1, usecols=0)
+    t = np.load(tmp_path / "trajectory_classical.npy")["t"]
     cone_x = monopole_cone(particle, sampler, t)
     unused = np.zeros_like(cone_x)  # the ratio reads positions only
     cone = _out_of_plane_ratio(Trajectory(t, cone_x, unused, unused), normal)

@@ -265,13 +265,33 @@ def test_every_scenario_passes_in_a_second_unit_system(tmp_path):
         assert code == 0, key
 
 
+# every file each scenario writes, as the README documents them
+OUTPUTS = {
+    "rotation": set(),
+    "covariance": {"E_final.bin", "B_final.bin", "snapshot_header.txt"},
+    "coulomb": set(),
+    "cross": set(),
+    "noether": set(),
+    "helicity": {"series.csv"},
+    "flyby": {"trajectory_classical.npy", "trajectory_quantum.npy"},
+}
+
+
+@pytest.mark.parametrize("key", sorted(BASE))
+def test_each_scenario_writes_exactly_its_documented_files(tmp_path, key):
+    out = tmp_path / "out"
+    assert cli.main(["run", write_cfg(tmp_path, BASE[key]), "--out", str(out)]) == 0
+    assert {p.name for p in out.iterdir()} == {"summary.txt"} | OUTPUTS[key]
+
+
 def test_flyby_writes_both_trajectories(tmp_path):
     cfg = write_cfg(tmp_path, BASE["flyby"])
     out = tmp_path / "out"
     assert cli.main(["run", cfg, "--out", str(out)]) == 0
     for model in ("classical", "quantum"):
-        table = np.loadtxt(out / f"trajectory_{model}.csv", delimiter=",", skiprows=1)
-        assert table.shape[1] == 11
+        table = np.load(out / f"trajectory_{model}.npy")
+        assert len(table) == 1600 + 1  # the default steps, each recorded, and the start
+        assert len(table.dtype.names) == 11
     summary = read_summary(out)
     assert float(summary["quantum_out_of_plane_ratio"]) <= 1e-8
     assert float(summary["classical_out_of_plane_ratio"]) > 1e-2

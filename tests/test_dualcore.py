@@ -141,6 +141,24 @@ def test_charge_component_overflow_raises_naming_the_component(qe, qm, theta, un
 
 
 @pytest.mark.parametrize(
+    "qe, qm, units",
+    [
+        (1.5e308, 1.5e308, NAT),  # the hypot overflows
+        (0.0, 1.7e308, UnitSystem(c=3.0, eps0=1.0)),  # c eps0 qm overflows before it
+    ],
+    ids=["hypot", "c-eps0-qm"],
+)
+def test_charge_norm_overflow_raises(qe, qm, units):
+    # a finite pair whose norm leaves the float range: no inf or warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="component 'charge_norm'"):
+            charge_norm(ChargePair(qe, qm), units)
+        with pytest.raises(ValueError, match="component 'charge_norm'"):
+            _charge_norm(np.array([1.0, qe]), np.array([1.0, qm]), units)
+
+
+@pytest.mark.parametrize(
     "pair, quarter_turns",
     [((1.0, 1.0), 0.5), ((-1.0, 1.0), 1.5), ((-1.0, -1.0), -1.5), ((1.0, -1.0), -0.5)],
 )

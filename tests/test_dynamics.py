@@ -18,7 +18,6 @@ from dualfield.dynamics import (
     MonopoleSampler,
     ParticleState,
     Trajectory,
-    UniformFieldSampler,
     classical_lorentz_force,
     in_plane_span,
     out_of_plane_component,
@@ -117,6 +116,25 @@ def test_lorentz_force_matches_the_two_cross_product_form(units):
 
 
 # --- samplers ------------------------------------------------------------------
+
+
+class UniformFieldSampler:
+    """Spatially uniform fields, declared fully transverse.
+
+    A uniform field is a k = 0 mode, which the grid decomposition assigns to
+    the longitudinal part; the sampler instead models a locally uniform
+    transverse wave, so its transverse parts are the full fields.  It gives
+    the closed-form orbits that pin ``push_particle``.
+    """
+
+    def __init__(self, E: np.ndarray, B: np.ndarray) -> None:
+        self._full = tuple(tuple(np.asarray(f, dtype=float).reshape(3).tolist()) for f in (E, B))
+
+    def sample(self, x, t: float):
+        return self._full, self._full
+
+    def in_domain(self, x) -> bool:
+        return True
 
 
 def test_monopole_sampler_matches_point_profile():
@@ -450,14 +468,34 @@ def test_out_of_plane_rejects_zero_normal():
         in_plane_span(traj, np.zeros(3))
 
 
-def test_trajectory_csv_round_trip(tmp_path):
+FIELDS = ("t", "x", "y", "z", "vx", "vy", "vz", "Fx", "Fy", "Fz", "out_of_plane_displacement")
+
+
+def _npy_round_trip(traj, normal, path):
+    disp, _ = out_of_plane_component(traj, normal)
+    traj.to_npy(path, disp)
+    table = np.load(path, allow_pickle=False)
+    assert table.dtype.names == FIELDS
+    assert all(table.dtype[name] == np.dtype("<f8") for name in FIELDS)
+    assert table.shape == (len(traj),)
+    np.testing.assert_array_equal(table["t"], traj.t)
+    for names, columns in ((("x", "y", "z"), traj.x), (("vx", "vy", "vz"), traj.v),
+                           (("Fx", "Fy", "Fz"), traj.force)):
+        for name, column in zip(names, columns.T):
+            np.testing.assert_array_equal(table[name], column)
+    np.testing.assert_array_equal(table["out_of_plane_displacement"], disp)
+
+
+def test_trajectory_npy_round_trip(tmp_path):
     sampler, p, normal = flyby_setup()
     traj = push_particle(p, sampler, "classical", 0.05, 50, NAT)
-    path = tmp_path / "trajectory.csv"
-    traj.to_csv(path, plane_normal=normal)
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert rows.shape == (len(traj), 11)
-    np.testing.assert_array_equal(rows[:, 0], traj.t)
-    np.testing.assert_array_equal(rows[:, 1:4], traj.x)
-    disp, _ = out_of_plane_component(traj, normal)
-    np.testing.assert_array_equal(rows[:, 10], disp)
+    assert len(traj) == 51
+    _npy_round_trip(traj, normal, tmp_path / "trajectory.npy")
+
+
+def test_a_truncated_trajectory_writes_its_recorded_rows(tmp_path):
+    sampler = UniformFieldSampler(5.0 * X, np.zeros(3))
+    traj = push_particle(particle(qe=1.0, v=(0.0, 0.01, 0.0)), sampler, "classical", 0.01, 1000, NAT)
+    assert traj.termination == "exceeded nonrelativistic speed guard"
+    assert 1 < len(traj) < 1001
+    _npy_round_trip(traj, Z, tmp_path / "trajectory.npy")

@@ -542,7 +542,6 @@ def test_spectral_and_lattice_tables_are_written_once():
 # criterion calls them; every other public name must have such a caller.
 NO_CALLER_ALLOWED = {
     "fields.load_field": "reads back the E_final.bin / B_final.bin files dual-covariance writes",
-    "dynamics.UniformFieldSampler": "closed-form orbits; pins push_particle in the parabola and gyration tests",
     "fields.helmholtz_decompose": "the benchmark's scenarios warm-up splits a 16^3 field with it",
     "maxwell.dual_covariance_residual": "the benchmark's evolve verdicts time it; tier-1 pins it",
     "maxwell.step_symmetric_maxwell": "the benchmark's evolve warm-up calls it; tier-1 pins it",
