@@ -253,9 +253,23 @@ def _charge_norm(qe, qm, units: UnitSystem):
 
 
 def _asymmetrizing_angle(qe, qm, units: UnitSystem):
-    """``asymmetrizing_angle`` of each (qe, qm) entry; 0 for a zero pair."""
+    """``asymmetrizing_angle`` of each (qe, qm) entry; 0 for a zero pair.
+
+    Where ``c eps0 qm`` overflows, both sides are scaled down by the
+    exponents of ``c eps0`` and ``qm``, so the product of their mantissas is
+    rounded once; ``qe`` can round there only where it is below 2**-1020
+    times the other side, too small to move the angle off +-pi / 2.
+    """
     qe, qm, _ = _unit_scaled(qe, qm, units)
-    return np.asarray(_atan2(units.c * units.eps0 * qm, qe), dtype=float)
+    ce = units.c * units.eps0
+    with np.errstate(over="ignore"):  # an overflow is redone below
+        y = np.asarray(ce * qm)
+    over = np.isinf(y)
+    if np.any(over):
+        (m_ce, e_ce), (m_qm, e_qm) = math.frexp(ce), np.frexp(qm)
+        y = np.where(over, m_ce * m_qm, y)
+        qe = np.ldexp(qe, np.where(over, -(e_ce + e_qm), 0))
+    return np.asarray(_atan2(y, qe), dtype=float)
 
 
 def rotate_charges(charges: ChargePair, theta: float, units: UnitSystem) -> ChargePair:

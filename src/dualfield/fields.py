@@ -148,15 +148,16 @@ def _to_grid(hat: np.ndarray) -> np.ndarray:
     return np.fft.irfftn(hat, axes=(-3, -2, -1))
 
 
-def _curl_hat(k: np.ndarray, hat: np.ndarray) -> np.ndarray:
-    """Spectrum of the curl, i k x hat."""
-    return 1j * np.stack(
-        [
-            k[1] * hat[2] - k[2] * hat[1],
-            k[2] * hat[0] - k[0] * hat[2],
-            k[0] * hat[1] - k[1] * hat[0],
-        ]
-    )
+def _curl_hat(k: np.ndarray, hat: np.ndarray, out=None, scale: float = 1.0) -> np.ndarray:
+    """Spectrum of the curl, i k x hat; given ``out``, ``scale`` times it is
+    added to ``out`` in place instead, one component at a time."""
+    terms = (k[a] * hat[b] - k[b] * hat[a] for a, b in ((1, 2), (2, 0), (0, 1)))
+    if out is None:
+        return 1j * np.stack(list(terms))
+    for out_i, term in zip(out, terms):
+        term *= 1j * scale
+        out_i += term
+    return out
 
 
 @dataclass

@@ -32,32 +32,40 @@ those at k, so spectra stay Hermitian.  The geometric sum over n is
 z^(N-1) expm1(N log r) / expm1(log r) with r = mu / z, mu the eigenvalue of
 M, and N where log r = 0.  A mover's current spectrum is q v times its
 unit-charge profile (``fields._gaussian_profile``), so its whole forcing is
-that profile times three fixed tables, alpha, (alpha - phi(0)) k . v and
-beta / omega of its sum, scaled by -qe / eps0 into E and by -qm into B.
-A call therefore costs one forward and one inverse transform of each field,
-one profile per moving source and a fixed number of elementwise passes per
-mover, however many steps it takes; static sources add nothing.
-The one O(steps) part is the clock: ``t`` adds ``dt`` once per step, so n
-one-step calls give bitwise the same ``t`` as one n-step call.
+that profile times three fixed tables, alpha, (alpha - phi(0)) k . v / k^2
+and beta / omega of its sum, scaled by -qe / eps0 into E and by -qm into B.
+
+The spectral core ``_evolve_spectra`` applies all of this in place to the
+stacked (2, 3, nx, ny, nz // 2 + 1) half spectra of E and B, one field and
+one component at a time, with the charges passed per source.  A call of
+``step_symmetric_maxwell`` therefore costs one forward and one inverse
+transform of E and B together, one profile per moving source and a fixed
+number of elementwise passes per mover, however many steps it takes; static
+sources add nothing.  The one O(steps) part is the clock: ``t`` adds ``dt``
+once per step, so n one-step calls give bitwise the same ``t`` as one
+n-step call.
 
 The tables sit in two one-slot caches, each keyed on what it depends on:
-``_free_tables`` on (grid, dt, steps, c) holds alpha and beta / omega of M^N
-and the velocity-free parts of the forcing sums, and ``_forcing_tables``
-holds each mover's triple for those and the mover velocities.  A repeat
-call, such as the second evolution of ``dual_covariance_residual``, and a
-free evolution after a sourced one on the same (grid, dt, steps, c) build
-no table.
+``_free_tables`` on (grid, dt, steps, c) holds alpha and beta / omega of M^N,
+(alpha - 1) / k^2 and the velocity-free parts of the forcing sums, and
+``_forcing_tables`` holds each mover's triple for those and the mover
+velocities.  A repeat call, such as the second evolution of
+``dual_covariance_residual``, and a free evolution after a sourced one on
+the same (grid, dt, steps, c) build no table.
 
-``dual_covariance_residual`` never returns to the grid: it evolves both of
-its paths with the spectral core ``_evolve_hat``, rotates the evolved half
-spectra (the rotation is pointwise and linear, so it commutes with the
-transform), and takes the energy norm as the Parseval sum of ``fields``.
+``dual_covariance_residual`` transforms E and B once and never returns to
+the grid.  The rotation is pointwise and linear, so it commutes with the
+transform: the residual rotates the input half spectra and the source
+charges for one path, evolves both paths through the core, rotates the
+evolved reference on the half spectrum, and takes the energy norm as the
+Parseval sum of ``fields``.  The ``dual-covariance`` scenario runs the same
+steps from one transform for all its angles.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -67,7 +75,6 @@ from .dualcore import (
     UnitSystem,
     _rotate,
     field_quadratic_form,
-    inverse_rotate_fields,
     rotate_charges,
 )
 from .errors import PreconditionError
@@ -151,9 +158,10 @@ def _axis_phase(mesh, velocity: np.ndarray, scale: float) -> np.ndarray:
 
 @lru_cache(maxsize=1)
 def _free_tables(grid: Grid3, dt: float, steps: int, c: float):
-    """Read-only tables that no mover changes: alpha and beta / omega of M^N,
-    then 1 / omega, P0(i x), Pm(i x), expm1 of log |mu| and of N log |mu|,
-    and exp(i arg mu / 2) and exp(i N arg mu / 2), with x = omega dt."""
+    """Read-only tables that no mover changes: alpha and beta / omega of M^N
+    and (alpha - 1) / k^2, then 1 / omega, P0(i x), Pm(i x), expm1 of
+    log |mu| and of N log |mu|, and exp(i arg mu / 2) and exp(i N arg mu / 2),
+    with x = omega dt."""
     omega = c * np.sqrt(_ksquared(grid))
     inv_omega = np.divide(1.0, omega, out=np.zeros_like(omega), where=omega > 0.0)
     x = dt * omega
@@ -162,9 +170,11 @@ def _free_tables(grid: Grid3, dt: float, steps: int, c: float):
     log_abs = 0.5 * np.log1p(x2 * x2 * x2 * (x2 / 576.0 - 1.0 / 72.0))
     arg = np.arctan2(x - x * x2 / 6.0, 1.0 - 0.5 * x2 + x2 * x2 / 24.0)
     decay = np.exp(steps * log_abs)
+    alpha = decay * np.cos(steps * arg)
     tables = (
-        decay * np.cos(steps * arg),
+        alpha,
         decay * np.sin(steps * arg) * inv_omega,
+        (alpha - 1.0) * _inv_ksquared(grid),
         inv_omega,
         (1.0 - 0.5 * x2) + 1j * (x - 0.25 * x * x2),
         (4.0 - 0.5 * x2) + 2j * x,
@@ -182,13 +192,13 @@ def _free_tables(grid: Grid3, dt: float, steps: int, c: float):
 def _forcing_tables(
     grid: Grid3, dt: float, steps: int, c: float, velocities: tuple[bytes, ...]
 ):
-    """Read-only alpha, (alpha - phi(0)) k . v and beta / omega of
+    """Read-only alpha, (alpha - phi(0)) k . v / k^2 and beta / omega of
     sum_{n<N} M^(N-1-n) z^n Q for each mover.
 
     Keyed on each mover's ``velocity.tobytes()``, so -0.0 and 0.0 never share
     an entry; only the last key is kept.
     """
-    _, _, inv_omega, p0, pm, em1, emn, rho1, rhon = _free_tables(grid, dt, steps, c)
+    inv_omega, p0, pm, em1, emn, rho1, rhon = _free_tables(grid, dt, steps, c)[3:]
     k = _kgrid(grid)
     mesh = _half_mesh(grid, grid.kaxes())
 
@@ -206,7 +216,7 @@ def _forcing_tables(
         phi0 = scale * _geometric_sum(steps, 0.0, 0.0, u1, un) * (1.0 + 4.0 * half + z)
         alpha = (0.5 * scale) * (plus + minus)
         beta = (-0.5j * scale) * (plus - minus) * inv_omega
-        return alpha, (alpha - phi0) * _kdot(k, velocity), beta
+        return alpha, (alpha - phi0) * _kdot(k, velocity) * _inv_ksquared(grid), beta
 
     forcings = tuple(forcing(np.frombuffer(v)) for v in velocities)
     for table in (t for triple in forcings for t in triple):
@@ -214,11 +224,9 @@ def _forcing_tables(
     return forcings
 
 
-def _evolve_hat(
-    state: EMState, dt: float, units: UnitSystem, steps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Half spectra of E and B after ``steps`` steps: ``step_symmetric_maxwell``
-    without its inverse transforms, clock and source wrap."""
+def _checked_spectra(state: EMState, dt: float, units: UnitSystem, steps: int) -> np.ndarray:
+    """The checks of an evolution, then the stacked (E, B) half spectra of
+    ``state``, shape (2, 3, nx, ny, nz // 2 + 1), in one forward transform."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive, got {dt}")
     limit = cfl_limit(state.grid, units)
@@ -229,37 +237,49 @@ def _evolve_hat(
         _validate_source_geometry(source, state.grid)
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")  # the closed form would run backwards
+    return _to_spectrum(np.stack([state.fields.E, state.fields.B]))
 
+
+def _evolve_spectra(
+    hat, state: EMState, dt: float, units: UnitSystem, steps: int, charges=None
+) -> None:
+    """Advance the E and B half spectra ``hat`` by ``steps`` steps, in place.
+
+    ``hat`` is the stacked (2, 3, nx, ny, nz // 2 + 1) array or any pair of
+    (3, nx, ny, nz // 2 + 1) arrays.  The sources of ``state`` drive it, the
+    i-th with the charge pair ``charges[i]`` (its own by default), so a path
+    with rotated charges needs no rotated state.  Nothing is checked here.
+    """
     grid = state.grid
     k = _kgrid(grid)
-    alpha, beta = _free_tables(grid, dt, steps, units.c)[:2]
+    alpha, beta, lon = _free_tables(grid, dt, steps, units.c)[:3]
     # phi(A) y = alpha y - (alpha - phi(0)) k (k . y) / k^2 + beta L y, summed
-    # over the free part and each moving source as [alpha y, (alpha - phi(0)) k . y, beta y]
-    sums = []
-    for field in (state.fields.E, state.fields.B):
-        y = _to_spectrum(field)
-        sums.append((alpha * y, (alpha - 1.0) * _kdot(k, y), beta * y))
-
-    movers = [s for s in state.sources if np.any(s.velocity != 0.0)]  # static ones carry no current
+    # over the free part and each moving source as [alpha y, (alpha - phi(0)) k . y / k^2, beta y]
+    rots = [beta * y for y in hat]
+    lons = [lon * _kdot(k, y) for y in hat]
+    for y in hat:
+        y *= alpha
+    if charges is None:
+        charges = [s.charges for s in state.sources]
+    movers = [(s, q) for s, q in zip(state.sources, charges)
+              if np.any(s.velocity != 0.0)]  # static ones carry no current
     if movers:
         forcings = _forcing_tables(
-            grid, dt, steps, units.c, tuple(s.velocity.tobytes() for s in movers))
-        for source, tables in zip(movers, forcings):
+            grid, dt, steps, units.c, tuple(s.velocity.tobytes() for s, _ in movers))
+        for (source, pair), tables in zip(movers, forcings):
             profile = _gaussian_profile(source, grid)
             total_s, lon_s, rot_s = (table * profile for table in tables)
-            charges = (-source.charges.qe / units.eps0, -source.charges.qm)
-            for (total, lon, rot), q in zip(sums, charges):
-                qv = (q * source.velocity)[:, None, None, None]
-                total += qv * total_s
-                lon += q * lon_s
-                rot += qv * rot_s
-
-    (E_hat, E_lon, E_rot), (B_hat, B_lon, B_rot) = sums
-    E_hat -= k * (_inv_ksquared(grid) * E_lon)
-    E_hat += units.c**2 * _curl_hat(k, B_rot)
-    B_hat -= k * (_inv_ksquared(grid) * B_lon)
-    B_hat -= _curl_hat(k, E_rot)
-    return E_hat, B_hat
+            for y, rot, lon_y, q in zip(hat, rots, lons, (-pair.qe / units.eps0, -pair.qm)):
+                lon_y += q * lon_s
+                for y_i, rot_i, qv in zip(y, rot, q * source.velocity):
+                    y_i += qv * total_s
+                    rot_i += qv * rot_s
+    for y, lon_y in zip(hat, lons):
+        for k_i, y_i in zip(k, y):
+            y_i -= k_i * lon_y
+    E_rot, B_rot = rots
+    _curl_hat(k, B_rot, out=hat[0], scale=units.c**2)
+    _curl_hat(k, E_rot, out=hat[1], scale=-1.0)
 
 
 def step_symmetric_maxwell(state: EMState, dt: float, units: UnitSystem, steps: int = 1) -> EMState:
@@ -270,21 +290,21 @@ def step_symmetric_maxwell(state: EMState, dt: float, units: UnitSystem, steps: 
     Raises ``PreconditionError`` if ``dt`` exceeds half a light-crossing of
     the smallest cell, the stability margin of spectral RK4.
     """
-    return _evolved_state(state, _evolve_hat(state, dt, units, steps), dt, steps)
+    hat = _checked_spectra(state, dt, units, steps)
+    _evolve_spectra(hat, state, dt, units, steps)
+    return _evolved_state(state, hat, dt, steps)
 
 
-def _evolved_state(
-    state: EMState, spectra: tuple[np.ndarray, np.ndarray], dt: float, steps: int
-) -> EMState:
-    """``state`` advanced ``steps`` steps of ``dt``, given its evolved E and B
-    half spectra: the fields back on the grid, the clock and the sources moved on."""
+def _evolved_state(state: EMState, hat: np.ndarray, dt: float, steps: int) -> EMState:
+    """``state`` advanced ``steps`` steps of ``dt``, given its evolved stacked
+    (E, B) half spectra: the fields back on the grid in one inverse
+    transform, the clock and the sources moved on."""
     t = state.t
     for _ in range(steps):
         t += dt
     elapsed = t - state.t
     sources = [s.at_time(elapsed, box=state.grid.L) for s in state.sources]
-    E_hat, B_hat = spectra
-    return EMState(t, state.grid, FieldVecPair(_to_grid(E_hat), _to_grid(B_hat)), sources)
+    return EMState(t, state.grid, FieldVecPair(*_to_grid(hat)), sources)
 
 
 def gauss_residuals(state: EMState, units: UnitSystem) -> tuple[float, float]:
@@ -317,17 +337,6 @@ def field_energy(state: EMState, units: UnitSystem) -> float:
     return 0.5 * field_quadratic_form(state.fields, units) * state.grid.cell_volume
 
 
-def rotate_em_state(state: EMState, theta: float, units: UnitSystem) -> EMState:
-    """Dual rotation of a whole state: fields and source charges together.
-
-    Pairs ``inverse_rotate_fields`` with ``rotate_charges`` at the same
-    angle; this joint map commutes with ``step_symmetric_maxwell``.
-    """
-    fields = inverse_rotate_fields(state.fields, theta, units)
-    sources = [replace(s, charges=rotate_charges(s.charges, theta, units)) for s in state.sources]
-    return EMState(state.t, state.grid, fields, sources)
-
-
 def _half_energy(E_hat: np.ndarray, B_hat: np.ndarray, grid: Grid3, units: UnitSystem) -> float:
     """N times ``field_quadratic_form`` of the fields with these half spectra,
     as the Parseval sum of ``fields``."""
@@ -337,23 +346,30 @@ def _half_energy(E_hat: np.ndarray, B_hat: np.ndarray, grid: Grid3, units: UnitS
 
 
 def _covariance_defect(
-    first: EMState,
-    reference: tuple[np.ndarray, np.ndarray],
+    first,
+    charges,
+    reference: np.ndarray,
+    state: EMState,
     theta: float,
-    steps: int,
     dt: float,
     units: UnitSystem,
+    steps: int,
 ) -> float:
-    """Energy-norm defect of ``first`` evolved against ``reference`` rotated.
+    """Energy-norm defect of one rotated path against the rotated reference.
 
-    ``reference`` holds the evolved (E, B) half spectra of the unrotated
-    state, and ``first`` its rotated counterpart before evolution; the
-    defect is relative to the rotated reference.
+    ``first`` holds the input (E, B) half spectra of ``state`` rotated by
+    ``theta`` and ``charges`` the charge pairs its sources carry on this
+    path; ``first`` is evolved in place and then overwritten by the
+    difference.  ``reference`` holds the evolved half spectra of ``state``
+    itself; the defect is relative to it rotated.
     """
-    E_first, B_first = _evolve_hat(first, dt, units, steps)
+    _evolve_spectra(first, state, dt, units, steps, charges)
+    E_first, B_first = first
     E_last, B_last = _rotate(*reference, theta, units.c)  # as ``inverse_rotate_fields``
-    num = math.sqrt(_half_energy(E_first - E_last, B_first - B_last, first.grid, units))
-    den = math.sqrt(_half_energy(E_last, B_last, first.grid, units))
+    E_first -= E_last
+    B_first -= B_last
+    num = math.sqrt(_half_energy(E_first, B_first, state.grid, units))
+    den = math.sqrt(_half_energy(E_last, B_last, state.grid, units))
     return num / den if den > 0.0 else num
 
 
@@ -371,13 +387,17 @@ def dual_covariance_residual(
     Both paths advance ``steps`` RK4 steps of size ``dt``; the defect is
     measured in the dual-invariant energy norm, relative to the evolved and
     rotated reference path.  Zero sources and theta = 0 give exactly zero.
-    Neither path returns to the grid: the evolved half spectra are rotated
-    with the coefficients of ``rotate_em_state``, and the norm is taken on
-    the half spectrum by Parseval's identity, which equals the grid sum of
-    ``field_quadratic_form`` to round-off.
+    The fields are transformed once: their half spectra are rotated with the
+    coefficients of ``inverse_rotate_fields`` and the source charges with
+    ``rotate_charges``, both paths run through the spectral core, the
+    evolved reference is rotated on the half spectrum too, and the norm is
+    the Parseval sum, which equals the grid sum of ``field_quadratic_form``
+    to round-off.
     """
     if require_shared_ratio:
         check_shared_ratio(state.sources)
-    reference = _evolve_hat(state, dt, units, steps)
-    first = rotate_em_state(state, theta, units)
-    return _covariance_defect(first, reference, theta, steps, dt, units)
+    reference = _checked_spectra(state, dt, units, steps)
+    first = _rotate(*reference, theta, units.c)  # as ``inverse_rotate_fields``
+    charges = [rotate_charges(s.charges, theta, units) for s in state.sources]
+    _evolve_spectra(reference, state, dt, units, steps)
+    return _covariance_defect(first, charges, reference, state, theta, dt, units, steps)

@@ -26,7 +26,7 @@ Synthesis and the mode observables
 ``_synthesis_hat`` is the one synthesis: it scatters every mode and its
 conjugate partner straight onto the half spectrum (kz >= 0) of ``X^mu`` and
 ``dX^mu/dt``, and ``_sector_potentials`` applies the weights ``(cos, c sin)``
-to it on the grid or on the spectrum alike.  As with ``maxwell._evolve_hat``
+to it on the grid or on the spectrum alike.  As with ``maxwell._evolve_spectra``
 and ``step_symmetric_maxwell``, each observable is a spectral core with a
 public grid function that adds the transforms:
 

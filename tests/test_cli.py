@@ -168,24 +168,55 @@ def test_covariance_writes_field_snapshots(tmp_path):
 
 @pytest.mark.parametrize("moving", [False, True])
 def test_dual_covariance_shares_one_reference_evolution(tmp_path, monkeypatch, moving):
-    # one reference, which the snapshot reuses, plus one evolution per angle
-    # for the residual and, with a moving charge, one per angle for the floor
-    calls = []
+    # one forward transform of the fields starts every evolution: one
+    # reference, which the snapshot reuses, plus one evolution per angle for
+    # the residual and, with a moving charge, one per angle for the floor
+    calls = {"_evolve_spectra": 0, "_to_spectrum": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return evolve(*args, **kwargs)
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
 
-    evolve = maxwell._evolve_hat
-    monkeypatch.setattr(maxwell, "_evolve_hat", counting)
-    monkeypatch.setattr(cli, "_evolve_hat", counting)
+    for name in calls:
+        wrapped = counting(name, getattr(maxwell, name))
+        monkeypatch.setattr(maxwell, name, wrapped)
+        if hasattr(cli, name):
+            monkeypatch.setattr(cli, name, wrapped)
     text = BASE["covariance"] if moving else BASE["covariance"].split("[source.1]")[0]
     thetas = [0.3, 0.7853981633974483, 2.0]
     code = cli.main(["run", write_cfg(tmp_path, text), "--out", str(tmp_path / "out"),
                      "--override", f"rotation.thetas={' '.join(map(repr, thetas))}"])
     assert code == 0
     k = len(thetas)
-    assert len(calls) == (2 * k + 1 if moving else k + 1)
+    assert calls == {"_evolve_spectra": 2 * k + 1 if moving else k + 1, "_to_spectrum": 1}
+
+
+@pytest.mark.parametrize("units", [(), ("units.c=3", "units.eps0=0.2")],
+                         ids=["natural", "c3-eps0.2"])
+def test_the_scenario_residual_is_the_library_residual_bitwise(tmp_path, monkeypatch, units):
+    # the scenario and dual_covariance_residual run the same spectral core
+    states = []
+
+    def recording(state, *args):
+        states.append(state)
+        return spectra(state, *args)
+
+    spectra = cli._checked_spectra
+    monkeypatch.setattr(cli, "_checked_spectra", recording)
+    thetas = [0.3, 2.0]
+    flags = [arg for item in (*units, f"rotation.thetas={' '.join(map(repr, thetas))}")
+             for arg in ("--override", item)]
+    out = tmp_path / "out"
+    assert cli.main(["run", write_cfg(tmp_path, BASE["covariance"]), "--out", str(out)]
+                    + flags) == 0
+    (state,) = states
+    system = UnitSystem(c=3.0, eps0=0.2) if units else UnitSystem()
+    summary = read_summary(out)
+    for theta in thetas:
+        residual = maxwell.dual_covariance_residual(state, theta, 10, 0.005, system)
+        assert summary[f"covariance_residual_theta_{theta!r}"] == repr(residual)
 
 
 def run_mode_scenario(tmp_path, key, *overrides):

@@ -158,6 +158,23 @@ def test_charge_norm_overflow_raises(qe, qm, units):
             _charge_norm(np.array([1.0, qe]), np.array([1.0, qm]), units)
 
 
+def test_asymmetrizing_angle_survives_an_overflowing_c_eps0_qm():
+    # c eps0 qm overflows, but the angle only needs the ratio of the two sides
+    units = UnitSystem(c=3.0, eps0=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert asymmetrizing_angle(ChargePair(1.7e308, 1.7e308), units) == math.atan2(3.0, 1.0)
+        assert asymmetrizing_angle(ChargePair(-1.7e308, -1.7e308), units) == math.atan2(-3.0, -1.0)
+        assert asymmetrizing_angle(ChargePair(5e-324, 1.7e308), units) == math.pi / 2
+        rng = np.random.default_rng(7)
+        qe = rng.uniform(-1.0, 1.0, 500) * 2.0 ** rng.integers(900, 1024, 500)
+        qm = rng.uniform(-1.0, 1.0, 500) * 1.7e308
+        angles = _asymmetrizing_angle(qe, qm, units)
+    # the same pairs scaled down by an exact power of two, where nothing overflows
+    scaled = [math.atan2(3.0 * math.ldexp(m, -64), math.ldexp(e, -64)) for e, m in zip(qe, qm)]
+    assert np.array_equal(angles, scaled)
+
+
 @pytest.mark.parametrize(
     "pair, quarter_turns",
     [((1.0, 1.0), 0.5), ((-1.0, 1.0), 1.5), ((-1.0, -1.0), -1.5), ((1.0, -1.0), -0.5)],

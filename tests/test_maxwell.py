@@ -1,6 +1,7 @@
 """Evolution of the two-current field equations on periodic grids."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dualfield.dualcore import (
     UnitSystem,
     field_quadratic_form,
     inverse_rotate_fields,
+    rotate_charges,
 )
 from dualfield.errors import PreconditionError
 from dualfield import maxwell
@@ -35,7 +37,6 @@ from dualfield.maxwell import (
     dual_covariance_residual,
     field_energy,
     gauss_residuals,
-    rotate_em_state,
     step_symmetric_maxwell,
 )
 
@@ -45,6 +46,15 @@ TWO_PI = 2.0 * math.pi
 
 def cube(n, L=TWO_PI):
     return Grid3((n, n, n), (L, L, L))
+
+
+def rotate_em_state(state, theta, units):
+    """Dual rotation of a whole state on the grid: ``inverse_rotate_fields``
+    with ``rotate_charges`` at the same angle, the joint map that commutes
+    with ``step_symmetric_maxwell``."""
+    fields = inverse_rotate_fields(state.fields, theta, units)
+    sources = [replace(s, charges=rotate_charges(s.charges, theta, units)) for s in state.sources]
+    return EMState(state.t, state.grid, fields, sources)
 
 
 def plane_wave_state(grid, kint, units, amplitude=1.0, t=0.0):
@@ -310,29 +320,51 @@ def test_closed_form_matches_the_rk4_stage_loop(name, steps):
     assert np.linalg.norm(out.fields.B - B) <= 1e-13 * np.linalg.norm(B)
 
 
-def test_a_sourced_call_does_the_same_work_for_any_step_count(monkeypatch):
-    state, dt, units = reference_case("two movers and a static source")
-    calls = {}
+WORK = ("_to_spectrum", "_to_grid", "_gaussian_profile", "_evolve_spectra")
+
+
+def count_work(monkeypatch):
+    """Count the calls of ``WORK`` made through ``maxwell``; returns the live tally."""
+    calls = dict.fromkeys(WORK, 0)
 
     def counted(name):
         original = getattr(maxwell, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+            calls[name] += 1
             return original(*args, **kwargs)
 
         return wrapper
 
-    for name in ("_to_spectrum", "_to_grid", "_gaussian_profile"):
+    for name in WORK:
         monkeypatch.setattr(maxwell, name, counted(name))
+    return calls
+
+
+def test_a_sourced_call_does_the_same_work_for_any_step_count(monkeypatch):
+    state, dt, units = reference_case("two movers and a static source")
+    calls = count_work(monkeypatch)
     counts = []
     for steps in (1, 100):
-        calls.clear()
+        calls.update(dict.fromkeys(calls, 0))
         step_symmetric_maxwell(state, dt, units, steps)
         counts.append(dict(calls))
     assert counts[0] == counts[1]
-    # one profile per moving source, none for the static one; one transform each way per field
-    assert counts[0] == {"_to_spectrum": 2, "_to_grid": 2, "_gaussian_profile": 2}
+    # one profile per moving source, none for the static one; E and B go
+    # through one transform each way and one pass of the core
+    assert counts[0] == {"_to_spectrum": 1, "_to_grid": 1, "_gaussian_profile": 2,
+                         "_evolve_spectra": 1}
+
+
+def test_a_covariance_residual_transforms_the_fields_once(monkeypatch):
+    state, dt, units = reference_case("two movers and a static source")
+    shared = [moving_source(s.position, s.velocity, 0.8 * q, 0.4 * q, sigma=s.sigma)
+              for s, q in zip(state.sources, (1.0, -0.6, 0.3))]
+    calls = count_work(monkeypatch)
+    dual_covariance_residual(EMState(0.0, state.grid, state.fields, shared), 0.6, 5, dt, units)
+    # one forward transform, never back to the grid; one profile per mover and path
+    assert calls == {"_to_spectrum": 1, "_to_grid": 0, "_gaussian_profile": 4,
+                     "_evolve_spectra": 2}
 
 
 # --- coefficient-table caches ---------------------------------------------------------
@@ -432,7 +464,26 @@ def test_cached_tables_are_read_only():
     free = maxwell._free_tables(state.grid, dt, 5, units.c)
     forcings = maxwell._forcing_tables(state.grid, dt, 5, units.c, movers)
     tables = [*free, *(t for triple in forcings for t in triple)]
-    assert len(tables) == 9 + 2 * 3
+    assert len(tables) == 10 + 2 * 3
+    assert not any(t.flags.writeable for t in tables)
+
+
+def test_the_residual_and_the_step_leave_the_state_alone():
+    state, dt, units = reference_case("two movers and a static source")
+    shared = [moving_source(s.position, s.velocity, 0.8 * q, 0.4 * q, sigma=s.sigma)
+              for s, q in zip(state.sources, (1.0, -0.6, 0.3))]
+    state = EMState(0.0, state.grid, state.fields, shared)
+    before = bitwise(state)
+    clear_tables()
+    dual_covariance_residual(state, 0.6, 5, dt, units)
+    step_symmetric_maxwell(state, dt, units, 5)
+    assert bitwise(state) == before
+    assert [s.charges for s in state.sources] == [s.charges for s in shared]
+    tables = [*maxwell._free_tables(state.grid, dt, 5, units.c),
+              *(t for triple in maxwell._forcing_tables(
+                  state.grid, dt, 5, units.c, tuple(s.velocity.tobytes() for s in shared[:2]))
+                for t in triple)]
+    assert misses() == (1, 1)
     assert not any(t.flags.writeable for t in tables)
 
 
@@ -557,6 +608,20 @@ def test_the_half_spectrum_energy_is_n_times_the_grid_form():
     assert abs(half - grid_form) <= 1e-13 * grid_form
 
 
+@pytest.mark.parametrize("units", [NAT, UnitSystem(c=3.0, eps0=0.2)], ids=["natural", "c3-eps0.2"])
+def test_rotating_the_half_spectra_equals_transforming_the_grid_rotation(units):
+    # the covariance paths rotate the input once transformed; white noise fills every bin
+    grid = Grid3((6, 8, 10), (5.0, 6.0, 7.0))
+    state = white_noise_state(grid, [], 26)
+    hat = _to_spectrum(np.stack([state.fields.E, state.fields.B]))
+    for theta in (0.3, math.pi / 4, 2.0, 3 * math.pi / 2):
+        E_hat, B_hat = maxwell._rotate(*hat, theta, units.c)
+        rotated = inverse_rotate_fields(state.fields, theta, units)
+        E_ref, B_ref = _to_spectrum(np.stack([rotated.E, rotated.B]))
+        defect = maxwell._half_energy(E_hat - E_ref, B_hat - B_ref, grid, units)
+        assert math.sqrt(defect / maxwell._half_energy(E_ref, B_ref, grid, units)) <= 1e-15
+
+
 def criterion_2_shared_state():
     """The shared-ratio moving pair of ``tests/acceptance/covariance-shared.ini``
     on its seed-5 waves and Coulomb fields."""
@@ -578,8 +643,10 @@ def test_the_spectral_defect_equals_the_grid_space_defect():
     theta, steps, dt = math.pi / 4, 100, 0.005
     fields_only = EMState(0.0, state.grid, inverse_rotate_fields(state.fields, theta, NAT),
                           state.sources)
-    reference = maxwell._evolve_hat(state, dt, NAT, steps)
-    spectral = maxwell._covariance_defect(fields_only, reference, theta, steps, dt, NAT)
+    reference = maxwell._checked_spectra(state, dt, NAT, steps)
+    rotated = maxwell._rotate(*reference, theta, NAT.c)
+    maxwell._evolve_spectra(reference, state, dt, NAT, steps)
+    spectral = maxwell._covariance_defect(rotated, None, reference, state, theta, dt, NAT, steps)
     first = step_symmetric_maxwell(fields_only, dt, NAT, steps).fields
     last = inverse_rotate_fields(step_symmetric_maxwell(state, dt, NAT, steps).fields, theta, NAT)
     on_grid = math.sqrt(field_quadratic_form(FieldVecPair(first.E - last.E, first.B - last.B), NAT)
