@@ -7,12 +7,13 @@ Usage::
 Each scenario computes a set of residuals, writes every one of them (with
 its limit) to ``summary.txt`` as sorted ``key=value`` lines, and exits 0
 when all checks pass.  Exit codes: 0 success, 1 usage or configuration
-error (including a value that is not finite or out of range and a given key
-the scenario never reads), 2 precondition violation (for example an
-unstable time step), 3 a residual check failed.  Each scenario reads and
-checks every key before it computes or writes anything, so exit 1 leaves no
-output file.  Identical configuration and seed produce byte-identical
-outputs.
+error (including a value that is not finite or out of range, a given key
+the scenario never reads, and a value whose computation overflows or
+turns invalid), 2 precondition violation (for example an unstable time
+step), 3 a residual check failed.  Each scenario reads and checks every key
+before it computes, and writes nothing before its computation ends, so exit
+1 leaves no output file.  Identical configuration and seed produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -131,11 +132,17 @@ class ScenarioConfig:
             return self.parser.get(section, key)
         return None
 
+    def _given_keys(self, read: bool) -> list[str]:
+        """``[section] key`` of every key the config gives, but ``[scenario]
+        name``, that a getter has (``read``) or has not asked for."""
+        return [f"[{section}] {key}" for section in self.parser.sections()
+                for key in self.parser[section] if (section, key) != ("scenario", "name")
+                and ((section, key) in self._read) == read]
+
     def check_all_read(self) -> None:
         """Raise ``ConfigError`` naming every given key that no getter has
         asked for; each runner calls it after its last read, before any work."""
-        unread = [f"[{section}] {key}" for section in self.parser.sections()
-                  for key in self.parser[section] if (section, key) not in self._read]
+        unread = self._given_keys(read=False)
         if unread:
             raise ConfigError(f"{self.name} reads no {', '.join(unread)}")
 
@@ -208,17 +215,12 @@ class ScenarioConfig:
 
     def lattice(self) -> tuple[list[PointSource], ModeSet]:
         """At least two ``[source.N]`` sources and their Coulomb lattice at
-        ``[modes] kmax_sigma`` and ``dk_r``.  An overflowing pair product of
-        ``(qe, c eps0 qm)``, a ``dk * dk`` that is not a normal float, or an
-        ``nmax = kmax / dk`` above ``MAX_LATTICE_NMAX`` is rejected first."""
+        ``[modes] kmax_sigma`` and ``dk_r``.  A ``dk * dk`` that is not a
+        normal float, or an ``nmax = kmax / dk`` above ``MAX_LATTICE_NMAX``,
+        is rejected first."""
         sources = self.sources()
         if len(sources) < 2:
             raise ConfigError(f"{self.name} needs at least two [source.N] sections")
-        c_eps0 = self.units.c * self.units.eps0
-        m = sorted(max(abs(s.charges.qe), abs(c_eps0 * s.charges.qm)) for s in sources)
-        if not math.isfinite(m[-1] * m[-2]):  # the largest pair product
-            raise ConfigError("[units] eps0 and the [source.N] qe and qm: a pair product of "
-                              f"(qe, c eps0 qm) overflows, got eps0 {self.units.eps0!r}")
         kmax_sigma = self.get_float("modes", "kmax_sigma", 6.0, above=0)
         dk_r = self.get_float("modes", "dk_r", 0.3, above=0)
         keys = ", ".join(["[modes] kmax_sigma", "[modes] dk_r"] + [
@@ -260,12 +262,6 @@ class ScenarioConfig:
             if self._raw(section, "sigma") not in (None, "auto"):
                 sigma = self.get_float(section, "sigma", None, above=0)
             entries.append((section, position, velocity, qe, qm, sigma))
-        for i, (a, pa, *_) in enumerate(entries):
-            for b, pb, *_ in entries[i + 1:]:
-                d = [x - y for x, y in zip(pa.tolist(), pb.tolist())]  # floats: no overflow warning
-                if not math.isfinite(sum(x * x for x in d)):
-                    raise ConfigError(f"[{a}] position and [{b}] position: their squared distance "
-                                      f"overflows, got {pa} and {pb}")
         sources = []
         positions = [e[1] for e in entries]
         for section, position, velocity, qe, qm, sigma in entries:
@@ -347,6 +343,10 @@ class Checks:
         self.summary[name] = value
 
 
+def _rel_difference(value: float, reference: float) -> float:
+    return abs(value - reference) / max(abs(reference), 1e-300)
+
+
 def random_wave_fields(grid: Grid3, units: UnitSystem, rng) -> FieldVecPair:
     """Superpose five random transverse plane waves (a valid free field)."""
     E = np.zeros((3,) + grid.shape)
@@ -372,6 +372,13 @@ def random_wave_fields(grid: Grid3, units: UnitSystem, rng) -> FieldVecPair:
         B += (amp / units.c) * np.cross(khat, pol)[:, None, None, None] * np.cos(phase)
         made += 1
     return FieldVecPair(E, B)
+
+
+def _euclidean_potential_form(potentials: PotentialPair, units: UnitSystem) -> float:
+    """eps0 (c^2 |A|^2 + |C|^2) over all four components: the positive
+    companion of ``potential_quadratic_form``, in its units."""
+    return units.eps0 * (units.c * units.c * float(np.sum(potentials.A ** 2))
+                         + float(np.sum(potentials.C ** 2)))
 
 
 # batches swept together: inputs held at once stay bounded whatever the count
@@ -416,14 +423,18 @@ def rotation_property_residuals(count: int, seed: int, units: UnitSystem) -> dic
         def rel(diffs, scales):
             return peak(diffs) / np.maximum(peak(scales), 1e-30)
 
-        def invariant(form, pair, before, after):
+        def invariant(form, pair, before, after, euclidean=None):
             """Relative change of ``form`` per batch, each summed over the
-            batch's own contiguous arrays, as a batch on its own sums it."""
+            batch's own contiguous arrays, as a batch on its own sums it.  An
+            indefinite form is floored at a share of ``euclidean``, its
+            positive companion in the same units, so no floor scales with eps0."""
             values = []
             for a, n in zip(starts, block):
-                q0, q1 = (form(pair(*(np.ascontiguousarray(x[:, a:a + n]) for x in arrays)), units)
+                x0, x1 = (pair(*(np.ascontiguousarray(x[:, a:a + n]) for x in arrays))
                           for arrays in (before, after))
-                values.append(abs(q1 - q0) / max(abs(q0), 1e-30))
+                q0 = form(x0, units)
+                scale = q0 if euclidean is None else max(abs(q0), 1e-30 * euclidean(x0, units))
+                values.append(abs(form(x1, units) - q0) / scale)
             return values
 
         fp = FieldVecPair(E, B)
@@ -468,7 +479,8 @@ def rotation_property_residuals(count: int, seed: int, units: UnitSystem) -> dic
         back_p = rotate_potentials(once_p, -t1, units)
         update("potentials_inverse", rel((c * (back_p.A - A), back_p.C - C), (c * A, C)))
         update("potentials_invariant",
-               invariant(potential_quadratic_form, PotentialPair, (A, C), (once_p.A, once_p.C)))
+               invariant(potential_quadratic_form, PotentialPair, (A, C), (once_p.A, once_p.C),
+                         _euclidean_potential_form))
     return worst
 
 
@@ -499,19 +511,6 @@ def run_dual_covariance(cfg: ScenarioConfig, outdir: Path) -> Checks:
     if min(grid.n) < min_cells:
         raise ConfigError(f"[grid] n must be at least {min_cells} cells per axis, got {grid.n}")
     sources = cfg.sources(sigma_fallback=3.0 * max(grid.spacing))
-    # the energy squares each source's Coulomb fields, of scales qe / eps0 and c qm
-    scales = [f for s in sources for f in (s.charges.qe / units.eps0, units.c * s.charges.qm)]
-    if not all(math.isfinite(f * f) for f in scales):
-        raise ConfigError("[units] eps0 and [source.N] qe or qm: the square of qe / eps0 or c qm "
-                          f"overflows for a source, at eps0 {units.eps0!r} and c {units.c!r}")
-    # the angles rotate each charge pair to components of up to hypot(qe, c eps0 qm)
-    # and hypot(qe / (c eps0), qm)
-    ce = units.c * units.eps0
-    if not all(math.isfinite(math.hypot(s.charges.qe, ce * s.charges.qm)
-                             + math.hypot(s.charges.qe / ce, s.charges.qm)) for s in sources):
-        raise ConfigError("[units] eps0 and [source.N] qe or qm: a rotated charge component, "
-                          "hypot(qe, c eps0 qm) or hypot(qe / (c eps0), qm), overflows for a "
-                          f"source, at eps0 {units.eps0!r} and c {units.c!r}")
     dt = cfg.get_float("evolution", "dt", 0.005, above=0)
     steps = cfg.get_int("evolution", "steps", 100, at_least=1, at_most=MAX_STEPS)
     thetas = cfg.thetas()
@@ -574,15 +573,6 @@ def run_dual_covariance(cfg: ScenarioConfig, outdir: Path) -> Checks:
 def run_coulomb_equivalence(cfg: ScenarioConfig, outdir: Path) -> Checks:
     units = cfg.units
     sources, ms = cfg.lattice()
-    # the real-space sum rotates each source to its invariant charge hypot(qe, c eps0 qm)
-    sections = sorted(s for s in cfg.parser.sections() if s.startswith("source."))
-    norms = {name: math.hypot(s.charges.qe, units.c * units.eps0 * s.charges.qm)
-             for name, s in zip(sections, sources)}
-    first, second = sorted(norms, key=norms.get)[:-3:-1]
-    if not math.isfinite(norms[first] * norms[second]):
-        raise ConfigError(f"[{first}] qe and qm, [{second}] qe and qm and [units] eps0: the "
-                          "product of their invariant charges hypot(qe, c eps0 qm) overflows, "
-                          f"got {norms[first]!r} and {norms[second]!r}")
     reference = next((s for s in sources if charge_norm(s.charges, units) > 0.0), None)
     if reference is None:
         raise ConfigError("all sources have zero charge")
@@ -590,14 +580,13 @@ def run_coulomb_equivalence(cfg: ScenarioConfig, outdir: Path) -> Checks:
     cfg.check_all_read()
     e_real = coulomb_energy_real(sources, units)
     e_mode = symmetric_charge_energy(sources, theta, ms, units)
-    rel = abs(e_mode - e_real) / max(abs(e_real), 1e-300)
     checks = Checks()
     checks.record("theta", float(theta))
     checks.record("energy_real", float(e_real))
     checks.record("energy_mode", float(e_mode))
     checks.record("lattice_dk", ms.dk[0])
     checks.record("lattice_kmax", float(ms.kmax))
-    checks.below("coulomb_rel_difference", rel, 0.01)
+    checks.below("coulomb_rel_difference", _rel_difference(e_mode, e_real), 0.01)
     return checks
 
 
@@ -612,19 +601,14 @@ def run_two_field_cross(cfg: ScenarioConfig, outdir: Path) -> Checks:
         positions, units.c * units.eps0 * np.asarray([s.charges.qm for s in sources]), units.eps0
     )
 
-    def rel(value: float, ref: float) -> float:
-        if value == ref:
-            return 0.0
-        return abs(value - ref) / max(abs(ref), 1e-300)
-
     checks = Checks()
     checks.record("energy_ee", float(ee))
     checks.record("energy_mm", float(mm))
     checks.record("energy_ee_reference", float(ee_ref))
     checks.record("energy_mm_reference", float(mm_ref))
     checks.below("cross_term", abs(em), 0.0)
-    checks.below("ee_rel_difference", rel(ee, ee_ref), 0.01)
-    checks.below("mm_rel_difference", rel(mm, mm_ref), 0.01)
+    checks.below("ee_rel_difference", _rel_difference(ee, ee_ref), 0.01)
+    checks.below("mm_rel_difference", _rel_difference(mm, mm_ref), 0.01)
     return checks
 
 
@@ -720,20 +704,10 @@ def run_monopole_flyby(cfg: ScenarioConfig, outdir: Path) -> Checks:
     dt = cfg.get_float("evolution", "dt", 0.05, above=0)
     steps = cfg.get_int("evolution", "steps", 1600, at_least=1, at_most=MAX_STEPS)
     cfg.check_all_read()
-    # the squared norms the run forms, and their product, which bounds |r x v|^2
-    offset = [a - b for a, b in zip(position.tolist(), monopole_pos.tolist())]
-    r2 = sum(d * d for d in offset)
-    v2 = sum(a * a for a in velocity.tolist())
     guard = SPEED_GUARD_FRACTION * units.c
-    if not math.isfinite(r2):
-        raise ConfigError(f"[particle] position and [monopole] position: the squared distance "
-                          f"between them overflows, got {position} and {monopole_pos}")
-    if not v2 < guard * guard:
+    if not sum(a * a for a in velocity.tolist()) < guard * guard:
         raise ConfigError(f"[particle] velocity must be slower than the pusher's speed guard "
                           f"{SPEED_GUARD_FRACTION} c, got {velocity}")
-    if not math.isfinite(r2 * v2):
-        raise ConfigError(f"[particle] position and [particle] velocity: the product of their "
-                          f"squared norms overflows, got {position} and {velocity}")
 
     sampler = MonopoleSampler(monopole_qm, monopole_pos, units)
     if not sampler.in_domain(position.tolist()):
@@ -745,16 +719,18 @@ def run_monopole_flyby(cfg: ScenarioConfig, outdir: Path) -> Checks:
     except ValueError as exc:
         raise ConfigError(f"[particle] velocity and position: {exc}") from exc
 
-    checks = Checks()
-    ratios = {}
+    runs, ratios = {}, {}  # both runs end before either is written: a failure leaves no file
     for model in ("classical", "quantum"):
         trajectory = push_particle(particle, sampler, model, dt, steps, units)
         disp, _ = out_of_plane_component(trajectory, normal)
-        trajectory.to_npy(outdir / f"trajectory_{model}.npy", disp)
         span = in_plane_span(trajectory, normal)
         # a run stopped before its first step spans nothing, and a span that
         # overflows measures nothing: the ratio is undefined
         ratios[model] = float(np.max(np.abs(disp))) / span if 0.0 < span < math.inf else math.nan
+        runs[model] = trajectory, disp, span
+    checks = Checks()
+    for model, (trajectory, disp, span) in runs.items():
+        trajectory.to_npy(outdir / f"trajectory_{model}.npy", disp)
         checks.record(f"{model}_steps", len(trajectory) - 1)
         checks.record(f"{model}_termination", trajectory.termination or "completed")
         checks.record(f"{model}_in_plane_span", span)
@@ -780,7 +756,14 @@ def run_scenario(cfg: ScenarioConfig, outdir: Path) -> tuple[dict, bool]:
             f"unknown scenario {cfg.name!r}; expected one of {sorted(SCENARIOS)}"
         )
     outdir.mkdir(parents=True, exist_ok=True)
-    checks = SCENARIOS[cfg.name](cfg, outdir)
+    try:  # one float boundary: an overflow or invalid value is an input error
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            checks = SCENARIOS[cfg.name](cfg, outdir)
+    except ConfigError:
+        raise
+    except (FloatingPointError, ValueError) as exc:
+        keys = ", ".join(cfg._given_keys(read=True)) or "its defaults"
+        raise ConfigError(f"{cfg.name} at {keys}: {exc}") from exc
     summary = dict(checks.summary)
     summary["scenario"] = cfg.name
     summary["seed"] = cfg.seed

@@ -172,33 +172,41 @@ def coulomb_cases():
 
 
 def coulomb_summaries(tmp_path, name):
-    """The ``name`` scenario's summary for each of ``coulomb_cases``."""
-    return [(label, scenario(write_sources(tmp_path / f"{i}.ini", name, sources), tmp_path / str(i)))
-            for i, (label, sources) in enumerate(coulomb_cases())]
+    """``(system, eps0, label, summary)`` of the ``name`` scenario for each of
+    ``coulomb_cases`` in each of ``UNIT_SYSTEMS``."""
+    runs = []
+    for system, overrides in UNIT_SYSTEMS.items():
+        eps0 = float(dict(item.split("=") for item in overrides).get("units.eps0", 1.0))
+        for i, (label, sources) in enumerate(coulomb_cases()):
+            config = write_sources(tmp_path / f"{i}.ini", name, sources)
+            runs.append((system, eps0, label, scenario(config, tmp_path / f"{i} {system}",
+                                                       *overrides)))
+    return runs
 
 
 def test_criterion_4_coulomb_equivalence(tmp_path):
     worst = 0.0
-    for label, summary in coulomb_summaries(tmp_path, "coulomb-equivalence"):
+    unit_values = []
+    for system, eps0, label, summary in coulomb_summaries(tmp_path, "coulomb-equivalence"):
         rel = float(summary["coulomb_rel_difference"])
-        assert rel < 0.01, (label, summary)
+        assert rel < 0.01, (system, label, summary)
         worst = max(worst, rel)
         if label == "two unit electric charges":
-            unit_value = float(summary["energy_real"])
-            assert unit_value == pytest.approx(1.0 / (4.0 * math.pi * NAT.eps0), rel=1e-12)
+            unit_values.append(float(summary["energy_real"]))
+            assert unit_values[-1] == pytest.approx(1.0 / (4.0 * math.pi * eps0), rel=1e-12)
     announce(4, "coulomb-equivalence",
-             f"5 configs (2-4 sources), worst {worst:.2%} < 1%; "
-             f"unit pair {unit_value:.7f} = 1/(4*pi*eps0)")
+             f"5 configs (2-4 sources), units {' and '.join(UNIT_SYSTEMS)}, worst {worst:.2%} "
+             f"< 1%; unit pair {' and '.join(f'{v:.7f}' for v in unit_values)} = 1/(4*pi*eps0)")
 
 
 def test_criterion_5_two_field_no_cross_interaction(tmp_path):
     worst = 0.0
-    for label, summary in coulomb_summaries(tmp_path, "two-field-cross"):
-        assert float(summary["cross_term"]) == 0.0, label  # the computed off-diagonal block
+    for system, _, label, summary in coulomb_summaries(tmp_path, "two-field-cross"):
+        assert float(summary["cross_term"]) == 0.0, (system, label)  # the off-diagonal block
         rel = max(float(summary["ee_rel_difference"]), float(summary["mm_rel_difference"]))
-        assert rel < 0.01, (label, summary)
+        assert rel < 0.01, (system, label, summary)
         worst = max(worst, rel)
-        if label == "two unit electric charges":
+        if label == "two unit electric charges" and system == "c=1 eps0=1":
             unit_energy = float(summary["energy_ee_reference"])
     # sensitivity: the same contraction with the one-field sector matrix at
     # pi/4 gives a mixed pair half the energy of two unit charges as em
@@ -214,8 +222,9 @@ def test_criterion_5_two_field_no_cross_interaction(tmp_path):
     floor = em_mixed / (0.5 * unit_energy)
     assert abs(floor - 1.0) < 0.01, floor
     announce(5, "two-field-no-cross-interaction",
-             f"computed em term 0.0 for all 5 configs; ee and mm within {worst:.2%} of pairwise; "
-             f"a mixed pair at pi/4 gives em {floor:.4f} of half the unit-pair energy")
+             f"computed em term 0.0 for all 5 configs in units {' and '.join(UNIT_SYSTEMS)}; "
+             f"ee and mm within {worst:.2%} of pairwise; a mixed pair at pi/4 gives em "
+             f"{floor:.4f} of half the unit-pair energy (c=1 eps0=1)")
 
 
 def _out_of_plane_ratio(trajectory, normal):

@@ -429,9 +429,8 @@ def per_sample_residuals(count: int, seed: int, units: UnitSystem) -> dict:
         back = inverse_rotate_fields(once, t1, units)
         update("fields_inverse", rel(np.concatenate([back.E - fp.E, c * (back.B - fp.B)]),
                                      np.concatenate([fp.E, c * fp.B])))
-        q_before = field_quadratic_form(fp, units)
-        update("fields_invariant", abs(field_quadratic_form(once, units) - q_before)
-               / max(abs(q_before), 1e-30))
+        q_before = field_quadratic_form(fp, units)  # a positive form
+        update("fields_invariant", abs(field_quadratic_form(once, units) - q_before) / q_before)
         wrapped = rotate_fields(fp, t1 + 2.0 * math.pi, units)
         update("fields_periodicity", rel(np.concatenate([wrapped.E - once.E,
                                                          c * (wrapped.B - once.B)]), scale))
@@ -469,9 +468,10 @@ def per_sample_residuals(count: int, seed: int, units: UnitSystem) -> dict:
                                                          back_p.C - pp.C]),
                                          np.concatenate([c * pp.A, pp.C])))
         q_before = potential_quadratic_form(pp, units)
+        euclidean = units.eps0 * (c * c * np.sum(pp.A**2) + np.sum(pp.C**2))
         update("potentials_invariant",
                abs(potential_quadratic_form(once_p, units) - q_before)
-               / max(abs(q_before), 1e-30))
+               / max(abs(q_before), 1e-30 * euclidean))
     return worst
 
 
@@ -485,12 +485,52 @@ def test_rotation_sweep_equals_the_per_sample_sweep_bitwise(count, units):
     assert repr(swept) == repr(per_sample_residuals(count, 5, units))
 
 
+def test_the_rotation_invariants_do_not_scale_with_eps0():
+    # both forms carry a factor eps0, which their relative change cancels
+    def invariants(eps0):
+        residuals = cli.rotation_property_residuals(200, 3, UnitSystem(c=1.0, eps0=eps0))
+        return np.array([residuals["fields_invariant"], residuals["potentials_invariant"]])
+
+    natural = invariants(1.0)
+    # a power of two near 1e-40 scales both forms exactly: equal bitwise
+    assert np.array_equal(invariants(2.0**-133), natural)
+    # at 1e-40 the scaling rounds: equal up to round-off
+    tiny = invariants(1e-40)
+    assert np.all(natural / 2 <= tiny) and np.all(tiny <= 2 * natural), (tiny, natural)
+
+
 def test_override_flag_reaches_the_scenario(tmp_path):
     cfg = write_cfg(tmp_path, BASE["rotation"])
     out = tmp_path / "out"
     code = cli.main(["run", cfg, "--out", str(out), "--override", "sweep.count=150"])
     assert code == 0
     assert read_summary(out)["sweep_count"] == "150"
+
+
+def benchmark_arguments(rng, name):
+    """A seed and, as the benchmark's scenarios workload draws them, a rotation
+    angle in [0.2, 1.2] or a flyby start moved by up to 0.02 in y and 1 % in speed."""
+    arguments = ["--seed", str(int(rng.integers(1, 2**31)))]
+    if name == "helicity-conservation":
+        arguments += ["--override", f"rotation.theta={rng.uniform(0.2, 1.2)!r}"]
+    elif name == "monopole-flyby":
+        y, vx = 1.0 + rng.uniform(-0.02, 0.02), 0.05 * (1.0 + rng.uniform(-0.01, 0.01))
+        arguments += ["--override", f"particle.position=-2.0 {y!r} 0.0",
+                      "--override", f"particle.velocity={vx!r} 0.0 0.0"]
+    return arguments
+
+
+@pytest.mark.parametrize(
+    "name", ["rotation-properties", "noether-zero", "helicity-conservation", "monopole-flyby"])
+def test_benchmark_shaped_runs_pass_without_a_warning(tmp_path, name):
+    rng = np.random.default_rng(11)
+    cfg = write_cfg(tmp_path, f"[scenario]\nname = {name}\n")
+    for run in range(8):
+        arguments = benchmark_arguments(rng, name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["run", cfg, "--out", str(tmp_path / str(run))] + arguments)
+        assert code == 0, arguments
 
 
 # --- exit codes -----------------------------------------------------------------
@@ -607,6 +647,15 @@ def test_two_field_cross_judges_small_energies_by_their_ratio(tmp_path):
         ("cross", "source.1.sigma=1e-300", 1),
         ("coulomb", "--override modes.dk_r=5e-324 --override source.2.position=3", 1),
         ("coulomb", "--override source.1.qe=1.7e308 --override source.1.qm=0.85e308", 1),
+        # energies that overflow: the first used to pass with inf == inf, the
+        # other two to fail with a nan difference
+        ("cross", "--override source.1.qe=1e154 --override source.2.qe=1e154 "
+                  "--override source.2.position=1e-3", 1),
+        ("cross", "--override source.1.qe=1e153 --override source.2.qe=-1e153 "
+                  "--override source.2.position=1e-10", 1),
+        ("coulomb", "--override source.1.qe=1e152 --override source.1.qm=5e151 "
+                    "--override source.2.qe=-1e152 --override source.2.qm=-5e151 "
+                    "--override source.2.position=1e-10", 1),
         ("covariance", "--override units.eps0=1e200 --override source.1.qm=1e150", 1),
         ("flyby", "--override evolution.dt=1e110 --override evolution.steps=2", 3),
         ("flyby", "particle.position=1e-110 0 0", 1),
@@ -776,7 +825,23 @@ def test_a_flyby_whose_plane_normal_overflows_exits_one(tmp_path, capsys):
         code = cli.main(["run", write_cfg(tmp_path, BASE["flyby"]), "--out", str(tmp_path / "out")]
                         + [arg for item in overrides for arg in ("--override", item)])
     assert code == 1
-    assert "[particle] position and [particle] velocity" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert all(key in err for key in ("[particle] position", "[particle] velocity", "overflow"))
+    assert output_files(tmp_path) == []
+
+
+def test_a_flyby_whose_second_push_fails_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # both trajectories are pushed before either is written
+    push = cli.push_particle
+
+    def failing(particle, sampler, model, *args):
+        if model == "quantum":
+            raise FloatingPointError("overflow encountered in multiply")
+        return push(particle, sampler, model, *args)
+
+    monkeypatch.setattr(cli, "push_particle", failing)
+    assert run_with(tmp_path, "flyby", "particle.qe=2") == 1
+    assert "[particle] qe: overflow" in capsys.readouterr().err
     assert output_files(tmp_path) == []
 
 
@@ -786,7 +851,9 @@ def test_a_covariance_source_whose_field_energy_overflows_exits_one(tmp_path, ca
     code = cli.main(["run", write_cfg(tmp_path, BASE["covariance"]), "--out", str(tmp_path / "out")]
                     + [arg for item in overrides for arg in ("--override", item)])
     assert code == 1
-    assert "the square of qe / eps0 or c qm overflows" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert all(f"[source.{i}] {q}" in err for i in (1, 2) for q in ("qe", "qm"))
+    assert "overflow" in err
     assert output_files(tmp_path) == []
 
 
