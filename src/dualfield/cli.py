@@ -11,9 +11,9 @@ error (including a value that is not finite or out of range, a given key
 the scenario never reads, and a value whose computation overflows or
 turns invalid), 2 precondition violation (for example an unstable time
 step), 3 a residual check failed.  Each scenario reads and checks every key
-before it computes, and writes nothing before its computation ends, so exit
-1 leaves no output file.  Identical configuration and seed produce
-byte-identical outputs.
+before it computes, and returns its files unwritten; ``run_scenario`` writes
+them only after the scenario returns, so exit 1 or 2 creates no output
+directory.  Identical configuration and seed produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ import argparse
 import configparser
 import math
 import sys
+from collections.abc import Callable
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -161,14 +163,23 @@ class ScenarioConfig:
         if at_most is not None and max(values) > at_most:
             raise ConfigError(f"[{section}] {key} must be at most {at_most}, got {raw!r}")
 
-    def _number(self, section: str, key: str, default, parse, what: str, bounds: dict):
+    def _parsed(self, section: str, key: str, parse, what: str):
+        """A key's raw text and ``parse`` of it; ``(None, None)`` when not given."""
         raw = self._raw(section, key)
         if raw is None:
-            return default
+            return None, None
         try:
-            value = parse(raw)
+            return raw, parse(raw)
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key} must be {what}, got {raw!r}") from exc
+
+    def _floats(self, section: str, key: str):  # a whitespace-separated list
+        return self._parsed(section, key, lambda raw: [float(v) for v in raw.split()], "numbers")
+
+    def _number(self, section: str, key: str, default, parse, what: str, bounds: dict):
+        raw, value = self._parsed(section, key, parse, what)
+        if raw is None:
+            return default
         self._check(section, key, raw, [value], **bounds)
         return value
 
@@ -179,13 +190,9 @@ class ScenarioConfig:
         return self._number(section, key, default, int, "an integer", bounds)
 
     def get_vector(self, section: str, key: str, default, **bounds) -> np.ndarray:
-        raw = self._raw(section, key)
+        raw, parts = self._floats(section, key)
         if raw is None:
             return np.asarray(default, dtype=float)
-        try:
-            parts = [float(v) for v in raw.split()]
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} must be numbers, got {raw!r}") from exc
         if len(parts) == 1:
             parts = parts * 3
         if len(parts) != 3:
@@ -237,13 +244,9 @@ class ScenarioConfig:
         return sources, ms
 
     def thetas(self) -> list[float]:
-        raw = self._raw("rotation", "thetas")
+        raw, thetas = self._floats("rotation", "thetas")
         if raw is None:
             return list(DEFAULT_THETAS)
-        try:
-            thetas = [float(v) for v in raw.split()]
-        except ValueError as exc:
-            raise ConfigError(f"[rotation] thetas must be numbers, got {raw!r}") from exc
         if not thetas:
             raise ConfigError("[rotation] thetas is empty")
         self._check("rotation", "thetas", raw, thetas)
@@ -280,13 +283,13 @@ class ScenarioConfig:
 
 
 def load_config(path: str, overrides: list[str], seed: int | None) -> ScenarioConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     config_path = Path(path)
     if not config_path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        parser.read(config_path)
-    except configparser.Error as exc:
+        parser.read(config_path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
     for item in overrides:
         if "=" not in item:
@@ -295,8 +298,8 @@ def load_config(path: str, overrides: list[str], seed: int | None) -> ScenarioCo
         if "." not in target:
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
         section, key = target.rsplit(".", 1)  # last dot: section names may contain dots
-        if not parser.has_section(section):
-            parser.add_section(section)
+        if section != parser.default_section and not parser.has_section(section):
+            parser.add_section(section)  # DEFAULT.key sets a default, as [DEFAULT] does
         parser.set(section, key, value)
     if seed is not None:
         if not parser.has_section("scenario"):
@@ -308,23 +311,19 @@ def load_config(path: str, overrides: list[str], seed: int | None) -> ScenarioCo
 # --- shared helpers -----------------------------------------------------------
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_pairs(path: Path, pairs: dict) -> Path:
-    """Write ``pairs`` to ``path`` as ``key=value`` lines sorted by key."""
-    path.write_text("".join(f"{key}={_format_value(pairs[key])}\n" for key in sorted(pairs)))
-    return path
+def write_pairs(path: Path, pairs: dict) -> None:
+    """Write ``pairs`` to ``path`` as ``key=value`` lines sorted by key; a
+    float's ``str`` is its shortest round-trip ``repr``."""
+    path.write_text("".join(f"{key}={pairs[key]}\n" for key in sorted(pairs)))
 
 
 class Checks:
-    """Collects named residuals with limits and an overall verdict."""
+    """Collects named residuals with limits, an overall verdict, and the output
+    files: a writer per file name, which ``run_scenario`` calls with its path."""
 
     def __init__(self) -> None:
         self.summary: dict = {}
+        self.files: dict[str, Callable[[Path], None]] = {}
         self.ok = True
 
     def below(self, name: str, value: float, limit: float) -> None:
@@ -487,7 +486,7 @@ def rotation_property_residuals(count: int, seed: int, units: UnitSystem) -> dic
 # --- scenarios ----------------------------------------------------------------
 
 
-def run_rotation_properties(cfg: ScenarioConfig, outdir: Path) -> Checks:
+def run_rotation_properties(cfg: ScenarioConfig) -> Checks:
     count = cfg.get_int("sweep", "count", 2000, at_least=1)
     # the sweep draws magnetic charges of scale 1 / (c eps0), which its rotations
     # enlarge by at most the sum of two draws: keep room for draws to 32 sigma
@@ -504,7 +503,7 @@ def run_rotation_properties(cfg: ScenarioConfig, outdir: Path) -> Checks:
     return checks
 
 
-def run_dual_covariance(cfg: ScenarioConfig, outdir: Path) -> Checks:
+def run_dual_covariance(cfg: ScenarioConfig) -> Checks:
     units = cfg.units
     grid = cfg.grid()
     min_cells = 2 * (WAVE_INDEX_MAX + 1)  # the random waves' indices lie below Nyquist
@@ -553,8 +552,8 @@ def run_dual_covariance(cfg: ScenarioConfig, outdir: Path) -> Checks:
     e0, e1 = field_energy(state, units), field_energy(evolved, units)
     checks.record("final_field_energy", float(e1))
     checks.record("initial_field_energy", float(e0))
-    save_field(outdir / "E_final.bin", VectorField(grid, evolved.fields.E))
-    save_field(outdir / "B_final.bin", VectorField(grid, evolved.fields.B))
+    checks.files["E_final.bin"] = partial(save_field, field=VectorField(grid, evolved.fields.E))
+    checks.files["B_final.bin"] = partial(save_field, field=VectorField(grid, evolved.fields.B))
     header = {
         "scenario": cfg.name,
         "t": evolved.t,
@@ -566,11 +565,11 @@ def run_dual_covariance(cfg: ScenarioConfig, outdir: Path) -> Checks:
         "eps0": units.eps0,
         "thetas": " ".join(repr(v) for v in thetas),
     }
-    write_pairs(outdir / "snapshot_header.txt", header)
+    checks.files["snapshot_header.txt"] = partial(write_pairs, pairs=header)
     return checks
 
 
-def run_coulomb_equivalence(cfg: ScenarioConfig, outdir: Path) -> Checks:
+def run_coulomb_equivalence(cfg: ScenarioConfig) -> Checks:
     units = cfg.units
     sources, ms = cfg.lattice()
     reference = next((s for s in sources if charge_norm(s.charges, units) > 0.0), None)
@@ -590,7 +589,7 @@ def run_coulomb_equivalence(cfg: ScenarioConfig, outdir: Path) -> Checks:
     return checks
 
 
-def run_two_field_cross(cfg: ScenarioConfig, outdir: Path) -> Checks:
+def run_two_field_cross(cfg: ScenarioConfig) -> Checks:
     units = cfg.units
     sources, ms = cfg.lattice()
     cfg.check_all_read()
@@ -612,7 +611,7 @@ def run_two_field_cross(cfg: ScenarioConfig, outdir: Path) -> Checks:
     return checks
 
 
-def run_noether_zero(cfg: ScenarioConfig, outdir: Path) -> Checks:
+def run_noether_zero(cfg: ScenarioConfig) -> Checks:
     units = cfg.units
     grid, ms = cfg.modes()
     count = cfg.get_int("sweep", "count", 10, at_least=1)
@@ -654,7 +653,7 @@ def run_noether_zero(cfg: ScenarioConfig, outdir: Path) -> Checks:
     return checks
 
 
-def run_helicity_conservation(cfg: ScenarioConfig, outdir: Path) -> Checks:
+def run_helicity_conservation(cfg: ScenarioConfig) -> Checks:
     units = cfg.units
     grid, ms = cfg.modes()
     theta = cfg.get_float("rotation", "theta", 0.6)
@@ -680,19 +679,17 @@ def run_helicity_conservation(cfg: ScenarioConfig, outdir: Path) -> Checks:
     helicities = np.asarray(helicities)
     drift = float(np.max(np.abs(helicities - helicities[0])) / abs(helicities[0]))
 
-    with open(outdir / "series.csv", "w") as fh:
-        fh.write("t,Sx,Sy,Sz,helicity\n")
-        for t, S, h in zip(times, spins, helicities):
-            fh.write(",".join(repr(float(v)) for v in (t, *S, h)) + "\n")
-
+    lines = ["t,Sx,Sy,Sz,helicity"] + [",".join(repr(float(v)) for v in (t, *S, h))
+                                       for t, S, h in zip(times, spins, helicities)]
     checks = Checks()
+    checks.files["series.csv"] = partial(Path.write_text, data="\n".join(lines) + "\n")
     checks.record("mode_count", ms.n_modes)
     checks.record("helicity_initial", float(helicities[0]))
     checks.below("helicity_drift", drift, 1e-13)
     return checks
 
 
-def run_monopole_flyby(cfg: ScenarioConfig, outdir: Path) -> Checks:
+def run_monopole_flyby(cfg: ScenarioConfig) -> Checks:
     units = cfg.units
     monopole_qm = cfg.get_float("monopole", "qm", 0.05)
     monopole_pos = cfg.get_vector("monopole", "position", [0.0, 0.0, 0.0])
@@ -719,23 +716,20 @@ def run_monopole_flyby(cfg: ScenarioConfig, outdir: Path) -> Checks:
     except ValueError as exc:
         raise ConfigError(f"[particle] velocity and position: {exc}") from exc
 
-    runs, ratios = {}, {}  # both runs end before either is written: a failure leaves no file
-    for model in ("classical", "quantum"):
+    checks = Checks()
+    for model, check, bound in (("classical", checks.above, 1e-2),
+                                ("quantum", checks.below, 1e-8)):
         trajectory = push_particle(particle, sampler, model, dt, steps, units)
         disp, _ = out_of_plane_component(trajectory, normal)
         span = in_plane_span(trajectory, normal)
         # a run stopped before its first step spans nothing, and a span that
         # overflows measures nothing: the ratio is undefined
-        ratios[model] = float(np.max(np.abs(disp))) / span if 0.0 < span < math.inf else math.nan
-        runs[model] = trajectory, disp, span
-    checks = Checks()
-    for model, (trajectory, disp, span) in runs.items():
-        trajectory.to_npy(outdir / f"trajectory_{model}.npy", disp)
+        ratio = float(np.max(np.abs(disp))) / span if 0.0 < span < math.inf else math.nan
+        checks.files[f"trajectory_{model}.npy"] = partial(trajectory.to_npy, out_of_plane=disp)
         checks.record(f"{model}_steps", len(trajectory) - 1)
         checks.record(f"{model}_termination", trajectory.termination or "completed")
         checks.record(f"{model}_in_plane_span", span)
-    checks.above("classical_out_of_plane_ratio", ratios["classical"], 1e-2)
-    checks.below("quantum_out_of_plane_ratio", ratios["quantum"], 1e-8)
+        check(f"{model}_out_of_plane_ratio", ratio, bound)
     return checks
 
 
@@ -751,14 +745,13 @@ SCENARIOS = {
 
 
 def run_scenario(cfg: ScenarioConfig, outdir: Path) -> tuple[dict, bool]:
+    """Run the scenario, then create ``outdir`` and write its files and the summary:
+    the one place that writes, so a run that raises leaves nothing."""
     if cfg.name not in SCENARIOS:
-        raise ConfigError(
-            f"unknown scenario {cfg.name!r}; expected one of {sorted(SCENARIOS)}"
-        )
-    outdir.mkdir(parents=True, exist_ok=True)
+        raise ConfigError(f"unknown scenario {cfg.name!r}; expected one of {sorted(SCENARIOS)}")
     try:  # one float boundary: an overflow or invalid value is an input error
         with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
-            checks = SCENARIOS[cfg.name](cfg, outdir)
+            checks = SCENARIOS[cfg.name](cfg)
     except ConfigError:
         raise
     except (FloatingPointError, ValueError) as exc:
@@ -768,6 +761,13 @@ def run_scenario(cfg: ScenarioConfig, outdir: Path) -> tuple[dict, bool]:
     summary["scenario"] = cfg.name
     summary["seed"] = cfg.seed
     summary["status"] = "pass" if checks.ok else "fail"
+    checks.files["summary.txt"] = partial(write_pairs, pairs=summary)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, write in checks.files.items():
+            write(outdir / name)
+    except OSError as exc:
+        raise ConfigError(f"--out {str(outdir)!r}: {exc}") from exc
     return summary, checks.ok
 
 
@@ -776,7 +776,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command")
     run_parser = sub.add_parser("run", help="run a scenario configuration")
     run_parser.add_argument("config", help="path to an INI scenario configuration")
-    run_parser.add_argument("--out", default=None, help="output directory (default: ./out)")
+    run_parser.add_argument("--out", type=Path, default=Path("out"),
+                            help="output directory (default: ./out)")
     run_parser.add_argument("--seed", type=int, default=None, help="override the seed")
     run_parser.add_argument(
         "--override",
@@ -790,16 +791,14 @@ def main(argv=None) -> int:
         if args.command != "run":
             raise ConfigError("expected the 'run' command")
         cfg = load_config(args.config, args.override, args.seed)
-        outdir = Path(args.out) if args.out is not None else Path("out")
-        summary, ok = run_scenario(cfg, outdir)
+        summary, ok = run_scenario(cfg, args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 2
-    path = write_pairs(outdir / "summary.txt", summary)
-    print(f"{summary['scenario']}: {summary['status']} ({path})")
+    print(f"{summary['scenario']}: {summary['status']} ({args.out / 'summary.txt'})")
     return 0 if ok else 3
 
 

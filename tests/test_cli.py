@@ -1,6 +1,8 @@
 """End-to-end runs of the scenario command line."""
 
+import ast
 import contextlib
+import inspect
 import io
 import math
 import textwrap
@@ -123,10 +125,9 @@ def run_with(tmp_path, key, override):
     return cli.main(["run", write_cfg(tmp_path, BASE[key]), "--out", str(tmp_path / "out")] + extra)
 
 
-def output_files(tmp_path):
-    """Names of the files a ``run_with`` run left in its output directory."""
-    out = tmp_path / "out"
-    return sorted(p.name for p in out.iterdir()) if out.exists() else []
+def left_output(tmp_path):
+    """True when a ``run_with`` run created its output directory."""
+    return (tmp_path / "out").exists()
 
 
 def named_key(override):
@@ -541,6 +542,37 @@ def test_missing_config_exits_one(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_a_percent_sign_in_a_config_file_is_literal_text(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BASE["rotation"].replace("count = 200", "count = 5%"))
+    assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "[sweep] count must be an integer, got '5%'" in capsys.readouterr().err
+
+
+def test_a_config_file_that_is_not_utf8_exits_one(tmp_path, capsys):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(b"[scenario]\nname = rotation-properties\n# caf\xe9\n")
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "malformed config" in capsys.readouterr().err
+    assert not left_output(tmp_path)
+
+
+def test_an_override_of_the_default_section_sets_a_default(tmp_path, capsys):
+    # as a [DEFAULT] line does, it gives the key to every section
+    assert run_with(tmp_path, "rotation", "DEFAULT.x=1") == 1
+    assert "rotation-properties reads no [scenario] x, [sweep] x" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["taken", "taken/below", "dir/summary.txt"])
+def test_an_out_that_cannot_hold_the_output_exits_one(tmp_path, capsys, target):
+    # a file where the directory or below it would go, or a directory where a file would
+    (tmp_path / "taken").write_text("kept\n")
+    (tmp_path / "dir" / "summary.txt").mkdir(parents=True)
+    out = tmp_path / target.removesuffix("/summary.txt")
+    assert cli.main(["run", write_cfg(tmp_path, BASE["rotation"]), "--out", str(out)]) == 1
+    assert f"--out {str(out)!r}: " in capsys.readouterr().err
+    assert (tmp_path / "taken").read_text() == "kept\n"
+
+
 def test_unknown_scenario_exits_one(tmp_path):
     cfg = write_cfg(tmp_path, "[scenario]\nname = warp-drive\n")
     assert cli.main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
@@ -690,6 +722,9 @@ def test_two_field_cross_judges_small_energies_by_their_ratio(tmp_path):
                        "--override source.2.velocity=1e-300", 0),
         ("covariance", "evolution.dt=5e-324", 0),
         ("covariance", "source.2.qm=0.5", 0),  # independent qm / qe ratios
+        # values are literal: a "%" used to raise from the parser's interpolation
+        ("rotation", "sweep.count=1%", 1),
+        ("noether", "sweep.count=%(x)s", 1),
     ],
 )
 def test_invalid_inputs_exit_with_their_code_not_a_traceback(tmp_path, capsys, key, override, code):
@@ -698,7 +733,8 @@ def test_invalid_inputs_exit_with_their_code_not_a_traceback(tmp_path, capsys, k
     assert "Traceback" not in err
     if code == 1:
         assert named_key(override) in err
-        assert output_files(tmp_path) == []
+    if code in (1, 2):
+        assert not left_output(tmp_path)
 
 
 @pytest.mark.parametrize(
@@ -730,7 +766,7 @@ def test_invalid_inputs_exit_with_their_code_not_a_traceback(tmp_path, capsys, k
 def test_configs_that_measure_nothing_exit_one(tmp_path, capsys, key, override):
     assert run_with(tmp_path, key, override) == 1
     assert named_key(override) in capsys.readouterr().err
-    assert output_files(tmp_path) == []
+    assert not left_output(tmp_path)
 
 
 def test_sources_closer_than_a_normal_square_are_apart_not_coincident(tmp_path, capsys):
@@ -739,7 +775,7 @@ def test_sources_closer_than_a_normal_square_are_apart_not_coincident(tmp_path, 
     assert run_with(tmp_path, "coulomb", "source.2.position=1e-200 0 0") == 1
     err = capsys.readouterr().err
     assert "[source.1] sigma must be positive with a normal-float square, got 2e-201" in err
-    assert output_files(tmp_path) == []
+    assert not left_output(tmp_path)
 
 
 def test_a_source_crossing_x_zero_stays_in_the_box(tmp_path):
@@ -814,7 +850,7 @@ def test_a_flyby_start_the_monopole_excludes_exits_one(tmp_path, capsys):
     assert run_with(tmp_path, "flyby", "particle.position=1e-7 0 0") == 1
     err = capsys.readouterr().err
     assert "[particle] position" in err and "[monopole] position" in err
-    assert output_files(tmp_path) == []
+    assert not left_output(tmp_path)
 
 
 def test_a_flyby_whose_plane_normal_overflows_exits_one(tmp_path, capsys):
@@ -827,11 +863,11 @@ def test_a_flyby_whose_plane_normal_overflows_exits_one(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert all(key in err for key in ("[particle] position", "[particle] velocity", "overflow"))
-    assert output_files(tmp_path) == []
+    assert not left_output(tmp_path)
 
 
 def test_a_flyby_whose_second_push_fails_leaves_no_file(tmp_path, capsys, monkeypatch):
-    # both trajectories are pushed before either is written
+    # no file is written before the scenario returns
     push = cli.push_particle
 
     def failing(particle, sampler, model, *args):
@@ -842,7 +878,7 @@ def test_a_flyby_whose_second_push_fails_leaves_no_file(tmp_path, capsys, monkey
     monkeypatch.setattr(cli, "push_particle", failing)
     assert run_with(tmp_path, "flyby", "particle.qe=2") == 1
     assert "[particle] qe: overflow" in capsys.readouterr().err
-    assert output_files(tmp_path) == []
+    assert not left_output(tmp_path)
 
 
 def test_a_covariance_source_whose_field_energy_overflows_exits_one(tmp_path, capsys):
@@ -854,7 +890,7 @@ def test_a_covariance_source_whose_field_energy_overflows_exits_one(tmp_path, ca
     err = capsys.readouterr().err
     assert all(f"[source.{i}] {q}" in err for i in (1, 2) for q in ("qe", "qm"))
     assert "overflow" in err
-    assert output_files(tmp_path) == []
+    assert not left_output(tmp_path)
 
 
 def test_a_key_read_under_another_case_counts_as_read(tmp_path):
@@ -877,7 +913,7 @@ MISSPELT = {
 def test_a_misspelt_key_exits_one_in_every_scenario(tmp_path, capsys, key):
     assert run_with(tmp_path, key, MISSPELT[key]) == 1
     assert named_key(MISSPELT[key]) in capsys.readouterr().err
-    assert output_files(tmp_path) == []
+    assert not left_output(tmp_path)
 
 
 REMOVED = [
@@ -903,7 +939,7 @@ def test_a_removed_key_exits_one_even_at_its_old_default(tmp_path, capsys, key, 
     # pass bounds are constants, recorded as <name>_limit and <name>_floor
     assert run_with(tmp_path, key, override) == 1
     assert named_key(override) in capsys.readouterr().err
-    assert output_files(tmp_path) == []
+    assert not left_output(tmp_path)
 
 
 # every key a BASE run reads besides [scenario] name and the COMMON keys each
@@ -960,7 +996,8 @@ def finite_summary(outdir):
 @pytest.mark.parametrize("key", sorted(SWEEP_BASE))
 def test_every_key_at_every_menu_value_exits_with_a_documented_code(tmp_path, key):
     """Each key the scenario reads, set to each menu value: exit 0, 1, 2 or 3 with
-    no exception or warning; exit 1 leaves no file, exit 0 writes finite numbers."""
+    no exception or warning; exit 1 or 2 leaves no output directory, exit 0
+    writes finite numbers."""
     cfg = write_cfg(tmp_path, SWEEP_BASE[key])
     faults = []
     for name in keys_read(tmp_path, SWEEP_BASE[key]):
@@ -977,8 +1014,27 @@ def test_every_key_at_every_menu_value_exits_with_a_documented_code(tmp_path, ke
                 continue
             if code not in (0, 1, 2, 3):
                 faults.append((name, value, f"exit {code}"))
-            elif code == 1 and out.exists() and any(out.iterdir()):
-                faults.append((name, value, "exit 1 left a file"))
+            elif code in (1, 2) and out.exists():
+                faults.append((name, value, f"exit {code} left its output directory"))
             elif code == 0 and not finite_summary(out):
                 faults.append((name, value, "exit 0 wrote a non-finite number"))
     assert faults == []
+
+
+WRITERS = {"open", "save_field", "save", "write_pairs", "to_npy", "write_text", "write", "mkdir"}
+
+
+def test_only_run_scenario_writes_files():
+    # scenarios hand their files to run_scenario as writers and call none:
+    # a scenario that raises has written nothing
+    writing = set()
+    for node in ast.walk(ast.parse(inspect.getsource(cli))):
+        if isinstance(node, ast.FunctionDef):
+            called = {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+                      for call in ast.walk(node) if isinstance(call, ast.Call)
+                      and isinstance(call.func, (ast.Name, ast.Attribute))}
+            if called & WRITERS:
+                writing.add(node.name)
+    assert writing == {"run_scenario", "write_pairs"}
+    assert all(list(inspect.signature(run).parameters) == ["cfg"]
+               for run in cli.SCENARIOS.values())
